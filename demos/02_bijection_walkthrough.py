@@ -39,10 +39,11 @@ print("blossoming tree:")
 print(to_debug_text(b))
 
 # Step 3: closing the tree back up matches buds with legs planarly; the
-# two leftover buds mark the ends of the meandric path.
-result = closure(b)
-print("unmatched buds at ", result.extremal)
-print("meandric path     ", result.meandric_path)
+# two leftover buds mark the ends of the meandric path, which alternates
+# node ids and edge ids.
+path = closure(b)
+print("meandric path     ", path)
+print("path ends at nodes", (path[0], path[-1]))
 print("stretches back to ", diagram_to_json(to_meandering(b)))
 
 # Round trip.

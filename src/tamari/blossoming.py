@@ -21,7 +21,6 @@ have no symmetry, so this is faithful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
@@ -44,7 +43,6 @@ __all__ = [
     "BUD",
     "RED",
     "BlossomingTree",
-    "ClosureResult",
     "bi_degree",
     "canonical_encode",
     "closure",
@@ -238,155 +236,94 @@ def from_meandering(m: MeanderingDiagram) -> BlossomingTree:
 # -------------------------------------------------------------------- closure
 
 
-@dataclass(frozen=True)
-class ClosureResult:
-    """Outcome of the planar bud/leg matching around a blossoming tree.
+def closure(tree: BlossomingTree) -> tuple:
+    """The meandric path of the planar closure, as a flat tuple.
 
-    ``matching`` pairs each matched bud (node, slot) with a leg
-    (edge, side node); ``meandric_path`` alternates tree vertices ("n", v)
-    and edge vertices ("e", e) and is Hamiltonian on all 2n+1 of them.
+    Along the counterclockwise contour buds open and legs (the two sides of
+    each edge midpoint) close; one stack pass from just after a lowest
+    prefix matches each leg to the nearest open bud.  Two buds stay open, on
+    distinct nodes.  The matches form a path through all nodes and edge
+    midpoints, returned from the smaller dangling node: node ids at even
+    positions, edge ids at odd positions.
     """
-
-    matching: tuple
-    unmatched: tuple
-    extremal: tuple[int, int]
-    meandric_path: tuple
-
-
-def _contour_tokens(tree: BlossomingTree) -> list[tuple]:
-    """Tokens of the counterclockwise contour: buds open, legs close.
-
-    A leg token (edge, from node) stands for the leg attached on the side
-    of the edge-vertex that the contour passes when leaving ``from node``.
-    """
-    tokens = []
-    v, slot = 0, len(tree.items[0]) - 1
-    total = 4 * tree.n + 2
-    for _ in range(total):
-        slot = (slot + 1) % len(tree.items[v])
-        item = tree.items[v][slot]
+    items = tree.items
+    contour = []  # (is_bud, node id or edge id)
+    height = lowest = start = 0
+    v, slot = 0, len(items[0]) - 1
+    for i in range(1, 4 * tree.n + 3):
+        seq = items[v]
+        slot = (slot + 1) % len(seq)
+        item = seq[slot]
         if item == BUD:
-            tokens.append(("bud", v, slot))
+            contour.append((True, v))
+            height += 1
         else:
             e = item[0]
-            tokens.append(("leg", e, v))
-            other = tree.across(e, v)
-            v, slot = other, tree.slot(e, other)
-    return tokens
+            contour.append((False, e))
+            v = tree.across(e, v)
+            slot = tree.slot(e, v)
+            height -= 1
+            if height < lowest:
+                lowest, start = height, i
 
-
-def closure(tree: BlossomingTree) -> ClosureResult:
-    """Match buds to legs planarly along the contour; two buds stay open.
-
-    Matching is by repeated cancellation of cyclically adjacent bud-leg
-    pairs, which is the unique planar matching on the circle.  The matched
-    pairs define the closure edges whose concatenation is the meandric
-    path.
-    """
-    tokens = _contour_tokens(tree)
-    total = len(tokens)
-    nxt = [(i + 1) % total for i in range(total)]
-    prv = [(i - 1) % total for i in range(total)]
-    alive = [True] * total
-    matches = []
-    worklist = [i for i in range(total) if tokens[i][0] == "bud"]
-    while worklist:
-        i = worklist.pop()
-        if not alive[i] or tokens[i][0] != "bud":
-            continue
-        j = nxt[i]
-        if i == j or not alive[j] or tokens[j][0] != "leg":
-            continue
-        matches.append((tokens[i], tokens[j]))
-        alive[i] = alive[j] = False
-        a, b = prv[i], nxt[j]
-        nxt[a], prv[b] = b, a
-        if tokens[a][0] == "bud":
-            worklist.append(a)
-    if len(matches) != 2 * tree.n:
-        raise InvalidBlossoming("planar matching left legs unmatched")
-    unmatched = tuple(tokens[i] for i in range(total) if alive[i])
-    if unmatched[0][1] == unmatched[1][1]:
+    open_buds = []
+    node_edges: list[list] = [[] for _ in items]
+    edge_nodes: dict = {}  # edge ids are labels, not indices
+    for is_bud, label in contour[start:] + contour[:start]:
+        if is_bud:
+            open_buds.append(label)
+        else:
+            u = open_buds.pop()
+            node_edges[u].append(label)
+            edge_nodes.setdefault(label, []).append(u)
+    first, last = sorted(open_buds)
+    if first == last:
         raise InvalidBlossoming("the two dangling buds share a node")
 
-    adjacency: dict = {}
-    for bud_tok, leg_tok in matches:
-        a = ("n", bud_tok[1])
-        b = ("e", leg_tok[1])
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    extremal = tuple(sorted(tok[1] for tok in unmatched))
-    start = ("n", extremal[0])
-    path = [start]
-    prev = None
+    # closure vertices have degree at most two and both dangling nodes
+    # degree one, so this walk is the path from first to last
+    path = [first]
+    v, e = first, node_edges[first][0]
     while True:
-        # closure vertices have degree at most two, so this walk is a path
-        candidates = [w for w in adjacency[path[-1]] if w != prev]
-        if not candidates:
+        w1, w2 = edge_nodes[e]
+        v = w2 if w1 == v else w1
+        path += (e, v)
+        if v == last:
             break
-        prev = path[-1]
-        path.append(candidates[0])
+        f1, f2 = node_edges[v]
+        e = f2 if f1 == e else f1
     if len(path) != 2 * tree.n + 1:
         raise InvalidBlossoming("closure edges do not form a Hamiltonian path")
-    return ClosureResult(
-        matching=tuple(matches),
-        unmatched=unmatched,
-        extremal=extremal,
-        meandric_path=tuple(path),
-    )
+    return tuple(path)
 
 
 def to_meandering(tree: BlossomingTree) -> MeanderingDiagram:
     """Close the tree and stretch its meandric path onto the axis.
 
-    Of the two ways to lay the path down, exactly one puts every blue
-    half-edge above the axis with its black endpoint on the left (and red
-    symmetrically below); that orientation defines the diagram.
+    Blue half-edges go above the axis to the black point left of their white
+    point, red ones below to the right.  So black point 0 is the blue end of
+    white point 1, which fixes the orientation of the path.
     """
-    path = closure(tree).meandric_path
-    results = []
-    for seq in (path, tuple(reversed(path))):
-        node_pos = {}
-        edge_idx = {}
-        ok = True
-        for idx, (kind, label) in enumerate(seq):
-            if idx % 2 == 0:
-                if kind != "n":
-                    ok = False
-                    break
-                node_pos[label] = idx // 2
-            else:
-                if kind != "e":
-                    ok = False
-                    break
-                edge_idx[label] = (idx + 1) // 2
-        if not ok:
-            continue
-        up = [0] * tree.n
-        lo = [0] * tree.n
-        for e, t in edge_idx.items():
-            v1, v2 = tree.edge_ends(e)
-            if tree.half_color(e, v1) == BLUE:
-                blue, red = v1, v2
-            else:
-                blue, red = v2, v1
-            pb, pr = node_pos[blue], node_pos[red]
-            if pb > t - 1 or pr < t:
-                ok = False
-                break
-            up[t - 1] = pb
-            lo[t - 1] = pr
-        if not ok:
-            continue
-        try:
-            results.append(MeanderingDiagram(tuple(up), tuple(lo)))
-        except InvalidDiagram:
-            continue
-    if not results:
-        raise ClosureOrientationError("no stretch orientation validates")
-    if len(results) == 2 and results[0] != results[1]:
-        raise ClosureOrientationError("both stretch orientations validate")
-    return results[0]
+    path = closure(tree)
+    if tree.half_color(path[1], path[0]) != BLUE:
+        path = path[::-1]
+    n = tree.n
+    pos = [0] * (n + 1)
+    for k in range(n + 1):
+        pos[path[2 * k]] = k
+    up = [0] * n
+    lo = [0] * n
+    for t in range(1, n + 1):
+        e = path[2 * t - 1]
+        blue, red = tree.edge_ends(e)
+        if tree.half_color(e, blue) != BLUE:
+            blue, red = red, blue
+        up[t - 1] = pos[blue]
+        lo[t - 1] = pos[red]
+    try:
+        return MeanderingDiagram(tuple(up), tuple(lo))
+    except InvalidDiagram as exc:
+        raise ClosureOrientationError(f"the stretched path is not a valid diagram: {exc}") from exc
 
 
 # -------------------------------------------------------------- the bijection

@@ -23,7 +23,7 @@ from .counting import (
     tally,
     trivariate_coefficients,
 )
-from .errors import TamariError
+from .errors import TamariError, UnsupportedSize
 from .intervals import (
     canopy_type_counts,
     enumerate_intervals,
@@ -192,6 +192,8 @@ def _cmd_classify(args, out) -> int:
 
 
 def _cmd_sample(args, out) -> int:
+    if args.count < 1:
+        raise UnsupportedSize("--count must be at least 1")
     rng = RandomSource(args.seed)
     if args.format == "svg":
         if args.count != 1:
@@ -275,6 +277,8 @@ def _cmd_tally(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    if args.max_n < 1:
+        raise UnsupportedSize("--max-n must be at least 1")
     results = run_checks(max_n=args.max_n)
     failed = [r for r in results if not r.passed]
     if args.json:
@@ -319,7 +323,7 @@ def run(argv: list[str], out=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args, out)
-    except (TamariError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (TamariError, ValueError, KeyError, OSError) as exc:
         message = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(message, separators=(",", ":")), file=sys.stderr)
         return 1

@@ -42,7 +42,7 @@ class InvalidBlossoming(TamariError):
 
 
 class ClosureOrientationError(TamariError):
-    """No orientation of the meandric path yields a valid diagram.
+    """The stretched path is not a valid diagram.
 
     Unreachable for structurally valid blossoming trees; kept as a guard.
     """

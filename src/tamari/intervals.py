@@ -270,10 +270,12 @@ def is_k_modern(interval: TamariInterval, k: int) -> bool:
 def is_infinitely_modern(interval: TamariInterval) -> bool:
     """True when every iterated rise stays an interval.
 
-    Tested through the separated-pair characterization, which terminates
-    without iterating rise unboundedly.
+    Tested through the separated-pair characterization: no upper arc ends
+    left of where a lower arc starts, that is, ``gaps`` is empty.
     """
-    return not gaps(interval)
+    upper_end = min(right for _, right in smooth_arcs(interval.upper))
+    lower_start = max(left for left, _ in smooth_arcs(interval.lower))
+    return upper_end >= lower_start
 
 
 def is_kreweras(interval: TamariInterval) -> bool:

@@ -97,9 +97,22 @@ def diagram_to_json(m: MeanderingDiagram) -> str:
 
 
 def diagram_from_json(text: str) -> MeanderingDiagram:
-    data = json.loads(text)
-    m = MeanderingDiagram(tuple(data["up"]), tuple(data["lo"]))
-    if "n" in data and data["n"] != m.n:
+    """Parse ``{"n": n, "up": [...], "lo": [...]}``; ``n`` is optional.
+
+    Only integers count as integers here: booleans and other JSON values
+    are rejected with InvalidDiagram.
+    """
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise InvalidDiagram("the JSON nests too deeply") from None
+    if not isinstance(data, dict):
+        raise InvalidDiagram("a diagram is a JSON object")
+    arrays = (data.get("up"), data.get("lo"))
+    if not all(isinstance(a, list) and all(type(x) is int for x in a) for a in arrays):
+        raise InvalidDiagram("up and lo must be lists of integers")
+    m = MeanderingDiagram(tuple(arrays[0]), tuple(arrays[1]))
+    if "n" in data and (type(data["n"]) is not int or data["n"] != m.n):
         raise InvalidDiagram("declared size does not match the arc arrays")
     return m
 

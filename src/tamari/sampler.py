@@ -98,8 +98,6 @@ def _valid_shift_indices(blocks: list[int]) -> list[int]:
     min over the next n partial sums >= -1, checked for all rotations at
     once with a sliding-window minimum over the doubled prefix array.
     """
-    from collections import deque
-
     count = len(blocks)
     window = count - 1
     prefix = [0]

@@ -233,19 +233,27 @@ def tamari_leq(t: BinaryTree, u: BinaryTree) -> bool:
 
 
 def right_rotations(t: BinaryTree) -> list[BinaryTree]:
-    """All trees covering ``t``: one right rotation applied at any node."""
-    out: list[BinaryTree] = []
+    """All trees covering ``t``: one right rotation applied at any node.
 
-    def rec(sub, rebuild):
+    Nodes are visited in preorder; each rotated subtree is rebuilt up to the
+    root along the chain of (ancestor, came-from-left) links.
+    """
+    out: list[BinaryTree] = []
+    stack = [(t, None)]
+    while stack:
+        sub, chain = stack.pop()
         if sub.is_leaf:
-            return
+            continue
         left, right = sub.left, sub.right
         if not left.is_leaf:
-            out.append(rebuild(BinaryTree(left.left, BinaryTree(left.right, right))))
-        rec(left, lambda x: rebuild(BinaryTree(x, right)))
-        rec(right, lambda x: rebuild(BinaryTree(left, x)))
-
-    rec(t, lambda x: x)
+            x = BinaryTree(left.left, BinaryTree(left.right, right))
+            link = chain
+            while link is not None:
+                parent, from_left, link = link
+                x = BinaryTree(x, parent.right) if from_left else BinaryTree(parent.left, x)
+            out.append(x)
+        stack.append((right, (sub, False, chain)))
+        stack.append((left, (sub, True, chain)))
     return out
 
 

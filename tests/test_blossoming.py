@@ -102,25 +102,27 @@ def test_validation_rejects_bad_structures():
 
 def test_closure_size_one():
     b = from_meandering(MeanderingDiagram((0,), (1,)))
-    res = closure(b)
-    assert len(res.matching) == 2
-    assert len(res.unmatched) == 2
-    assert res.extremal == (0, 1)
-    assert len(res.meandric_path) == 3
+    # node 0, edge 1, node 1: two closure edges, dangling ends 0 and 1
+    assert closure(b) == (0, 1, 1)
 
 
 def test_closure_invariants():
     for n in range(1, 8):
         for _, b in images(n):
-            res = closure(b)
-            assert len(res.matching) == 2 * n
-            u1, u2 = res.unmatched
-            assert u1[1] != u2[1]
-            path = res.meandric_path
+            path = closure(b)
             assert len(path) == 2 * n + 1
-            assert path[0][0] == "n" and path[-1][0] == "n"
-            assert all(p[0] == ("n" if i % 2 == 0 else "e") for i, p in enumerate(path))
-            assert len(set(path)) == len(path)
+            assert sorted(path[::2]) == list(range(n + 1))
+            assert sorted(path[1::2]) == list(range(1, n + 1))
+            assert path[0] < path[-1]
+
+
+def test_closure_ends_have_opposite_colors():
+    # exactly one orientation of the path starts on a blue half-edge, so
+    # to_meandering may pick it from the first edge alone
+    for n in range(1, 8):
+        for _, b in images(n):
+            path = closure(b)
+            assert b.half_color(path[1], path[0]) != b.half_color(path[-2], path[-1])
 
 
 def test_closure_round_trips():

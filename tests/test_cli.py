@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from tamari.cli import run
 from tamari.intervals import enumerate_intervals, interval_to_text
 
@@ -129,3 +131,29 @@ def test_error_paths():
     assert code == 1
     code, _ = invoke(["count", "--family", "nonsense", "--n", "3"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["unmap", "[1,2]"],
+        ["unmap", '{"up":[0],"lo":["1"]}'],
+        ["unmap", '{"up":[0],"lo":[true]}'],
+        ["unmap", "[" * 100000],
+        ["sample", "--size", "4", "--count", "-1"],
+        ["verify", "--max-n", "0"],
+    ],
+)
+def test_bad_input_gives_one_json_error_line(argv, capsys):
+    code, text = invoke(argv)
+    assert code == 1 and text == ""
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "error" in json.loads(line)
+
+
+def test_unwritable_output_gives_one_json_error_line(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.svg"
+    code, _ = invoke(["render", "UD|UD", "--out", str(path)])
+    assert code == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "FileNotFoundError"

@@ -200,7 +200,9 @@ def test_not_every_trivial_interval_is_modern():
 def test_modern_iff_no_unit_gap():
     for n in range(1, 8):
         for interval in enumerate_intervals(n):
-            assert is_modern(interval) == (1 not in gaps(interval))
+            gs = gaps(interval)
+            assert is_modern(interval) == (1 not in gs)
+            assert is_infinitely_modern(interval) == (not gs)
 
 
 def test_infinitely_modern_iff_rise_iteration_survives():

@@ -271,6 +271,18 @@ def test_tamari_leq_dual_bracket_formulation():
 def test_right_rotations_examples():
     assert right_rotations(LEAF) == []
     assert right_rotations(T_B) == [T_A]
+    # preorder: the root first, then its left subtree
+    left_comb = tree_from_dyck("UDUDUD")
+    assert [dyck_from_tree(u) for u in right_rotations(left_comb)] == ["UDUUDD", "UUDDUD"]
+
+
+def test_right_rotations_deep_comb():
+    # a right comb of size 3000 ending in T_B: its one rotation, at the
+    # bottom, is rebuilt through 2998 ancestors
+    comb, rotated = T_B, T_A
+    for _ in range(2998):
+        comb, rotated = BinaryTree(LEAF, comb), BinaryTree(LEAF, rotated)
+    assert right_rotations(comb) == [rotated]
 
 
 # ----------------------------------------------------------------- Dyck walks
