@@ -394,8 +394,14 @@ def interval_to_json(interval: TamariInterval) -> str:
 
 
 def interval_from_json(text: str) -> TamariInterval:
-    data = json.loads(text)
+    """Parse ``{"n": n, "lower": "<dyck>", "upper": "<dyck>"}``; ``n`` is optional."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("the JSON nests too deeply") from None
+    if not (isinstance(data, dict) and all(type(data.get(k)) is str for k in ("lower", "upper"))):
+        raise ValueError("expected an object with string fields 'lower' and 'upper'")
     interval = TamariInterval(tree_from_dyck(data["lower"]), tree_from_dyck(data["upper"]))
-    if "n" in data and data["n"] != interval.n:
+    if "n" in data and (type(data["n"]) is not int or data["n"] != interval.n):
         raise ValueError("declared size does not match the trees")
     return interval

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .trees import (
     BinaryTree,
+    _nesting_runs,
     bracket_vector,
     dual_bracket_vector,
     tree_from_bracket_vector,
@@ -58,8 +59,9 @@ class MeanderingDiagram:
 
     ``up[t-1]`` in [0..t-1] is the black end of the upper arc at white point
     t - 1/2 and ``lo[t-1]`` in [t..n] the black end of its lower arc.
-    Construction checks that each side decodes as the diagram drawing of a
-    binary tree, which is equivalent to the non-crossing conditions.
+    Construction checks that the lower spans [t, lo[t]] nest and that the
+    upper spans [up[t], t - 1] nest (the non-crossing conditions), with the
+    bracket-vector nesting pass of each side's tree; no tree is built.
     """
 
     up: tuple[int, ...]
@@ -77,8 +79,8 @@ class MeanderingDiagram:
             if not t <= self.lo[t - 1] <= n:
                 raise InvalidDiagram(f"lo[{t}] = {self.lo[t - 1]} out of [{t}..{n}]")
         try:
-            tree_from_bracket_vector([self.lo[t - 1] - t for t in range(1, n + 1)])
-            tree_from_dual_bracket_vector([t - 1 - self.up[t - 1] for t in range(1, n + 1)])
+            _nesting_runs([self.lo[t - 1] - t for t in range(1, n + 1)], False)
+            _nesting_runs([t - 1 - self.up[t - 1] for t in range(1, n + 1)], True)
         except InvalidBracketVector as exc:
             raise InvalidDiagram(f"arcs cross: {exc}") from exc
 

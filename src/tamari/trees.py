@@ -106,10 +106,12 @@ def _infix_nodes(t: BinaryTree) -> Iterator[BinaryTree]:
     """Yield the internal nodes of ``t`` in infix order (labels 1..n)."""
     stack: list[BinaryTree] = []
     cur = t
-    while stack or not cur.is_leaf:
-        while not cur.is_leaf:
+    while True:
+        while cur.left is not None:
             stack.append(cur)
             cur = cur.left
+        if not stack:
+            return
         cur = stack.pop()
         yield cur
         cur = cur.right  # type: ignore[assignment]
@@ -127,88 +129,86 @@ def dual_bracket_vector(t: BinaryTree) -> tuple[int, ...]:
 
 def mirror(t: BinaryTree) -> BinaryTree:
     """Exchange left and right throughout the tree (an involution)."""
-    if t.is_leaf:
-        return LEAF
-    order: list[BinaryTree] = []
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if u.is_leaf:
-            continue
-        order.append(u)
-        stack.append(u.left)
-        stack.append(u.right)
-    built: dict[int, BinaryTree] = {}
+    return _tree_from_runs(_nesting_runs(bracket_vector(t), False), True)
 
-    def lookup(u: BinaryTree) -> BinaryTree:
-        return LEAF if u.is_leaf else built[id(u)]
 
-    for u in reversed(order):
-        built[id(u)] = BinaryTree(lookup(u.right), lookup(u.left))
-    return built[id(t)]
+def _nesting_runs(v: Sequence[int], reverse: bool) -> list[int]:
+    """Check that a bracket vector encodes a tree; return its Dyck runs.
+
+    Entry j (read right to left when ``reverse``, the dual case) spans
+    [j, j + v_j]; the spans must nest, which a stack of open span ends checks.
+    Entry e of the result counts the spans ending at e: the run of down steps
+    after the e-th up step of the tree's Dyck walk.
+    """
+    n = len(v)
+    runs = [0] * (n + 1)
+    ends: list[int] = []
+    for j, a in enumerate(reversed(v) if reverse else v, start=1):
+        if not isinstance(a, int) or a < 0 or j + a > n:
+            i = n + 1 - j if reverse else j
+            raise InvalidBracketVector(f"entry {i} = {a!r} is out of range")
+        while ends and ends[-1] < j:
+            ends.pop()
+        end = j + a
+        if ends and end > ends[-1]:
+            raise InvalidBracketVector(f"{tuple(v)} violates the nesting condition")
+        ends.append(end)
+        runs[end] += 1
+    return runs
+
+
+def _tree_from_runs(runs: list[int], mirrored: bool) -> BinaryTree:
+    # One stack pass over the Dyck walk U D^runs[1] ... U D^runs[n], as in
+    # tree_from_dyck.  Building every node mirrored yields the mirror tree;
+    # a dual bracket vector read right to left is the mirror's bracket vector.
+    stack: list[BinaryTree] = []
+    cur = LEAF
+    for run in runs[1:]:
+        stack.append(cur)
+        cur = LEAF
+        for _ in range(run):
+            cur = BinaryTree(cur, stack.pop()) if mirrored else BinaryTree(stack.pop(), cur)
+    return cur
 
 
 def tree_from_bracket_vector(v: Sequence[int]) -> BinaryTree:
     """Decode a bracket vector back into the unique tree carrying it.
 
-    Raises InvalidBracketVector when the nesting condition fails; validity is
-    certified by re-encoding the decoded tree.
+    Raises InvalidBracketVector when an entry is out of range or the spans
+    [i, i + v_i] do not nest: one pass checks that and yields the Dyck runs.
     """
-    v = tuple(v)
-    n = len(v)
-    if n == 0:
-        return LEAF
-    # Entry i covers nodes (i+1 .. i+a_i]; node i's subtree ends at i + a_i.
-    # Reading the multiset {i + a_i} as down-step runs of a Dyck walk inverts
-    # the encoding in linear time.
-    runs = [0] * (n + 1)
-    for i, a in enumerate(v, start=1):
-        if not isinstance(a, int) or a < 0 or i + a > n:
-            raise InvalidBracketVector(f"entry {i} = {a!r} is out of range")
-        runs[i + a] += 1
-    word = "".join("U" + "D" * runs[i] for i in range(1, n + 1))
-    t = tree_from_dyck(word)
-    if bracket_vector(t) != v:
-        raise InvalidBracketVector(f"{v} violates the nesting condition")
-    return t
+    return _tree_from_runs(_nesting_runs(tuple(v), False), False)
 
 
 def tree_from_dual_bracket_vector(v: Sequence[int]) -> BinaryTree:
     """Decode a dual bracket vector; inverse of dual_bracket_vector."""
-    t = tree_from_bracket_vector(tuple(reversed(tuple(v))))
-    return mirror(t)
+    return _tree_from_runs(_nesting_runs(tuple(v), True), True)
+
+
+def _branch_lengths(t: BinaryTree, left: bool) -> tuple[int, ...]:
+    """Per leaf, the nodes on the maximal left (or right) branch ending there."""
+    d = [0] * (t.size + 1)
+    pos = 0
+    stack = [(t, 0)]
+    while stack:
+        sub, chain = stack.pop()
+        if sub.left is None:
+            d[pos] = chain
+            pos += 1
+        else:
+            stack.append((sub.right, 0 if left else chain + 1))
+            stack.append((sub.left, chain + 1 if left else 0))
+    return tuple(d)
 
 
 def degree_vector(t: BinaryTree) -> tuple[int, ...]:
     """Entry k: number of nodes on the maximal left branch ending at leaf k."""
-    d = [0] * (t.size + 1)
-    pos = 0
-    stack = [(t, 0)]
-    while stack:
-        sub, chain = stack.pop()
-        if sub.is_leaf:
-            d[pos] = chain
-            pos += 1
-        else:
-            stack.append((sub.right, 0))
-            stack.append((sub.left, chain + 1))
-    return tuple(d)
+    return _branch_lengths(t, True)
 
 
 def dual_degree_vector(t: BinaryTree) -> tuple[int, ...]:
     """Entry k: number of nodes on the maximal right branch ending at leaf k."""
-    d = [0] * (t.size + 1)
-    pos = 0
-    stack = [(t, 0)]
-    while stack:
-        sub, chain = stack.pop()
-        if sub.is_leaf:
-            d[pos] = chain
-            pos += 1
-        else:
-            stack.append((sub.right, chain + 1))
-            stack.append((sub.left, 0))
-    return tuple(d)
+    return _branch_lengths(t, False)
 
 
 def canopy(t: BinaryTree) -> tuple[int, ...]:
@@ -260,21 +260,22 @@ def right_rotations(t: BinaryTree) -> list[BinaryTree]:
 def dyck_from_tree(t: BinaryTree) -> str:
     """Dyck word of the tree: word(L) + U + word(R) + D at each node."""
     parts: list[str] = []
-    stack = [(t, 0)]
-    while stack:
-        sub, state = stack.pop()
-        if sub.is_leaf:
-            continue
-        if state == 0:
-            stack.append((sub, 1))
-            stack.append((sub.left, 0))
-        elif state == 1:
-            parts.append("U")
-            stack.append((sub, 2))
-            stack.append((sub.right, 0))
-        else:
+    # Nodes whose left subtree is pending; a None per node whose D is pending.
+    stack: list[BinaryTree | None] = []
+    cur = t
+    while True:
+        while cur.left is not None:
+            stack.append(cur)
+            cur = cur.left
+        while stack and stack[-1] is None:
+            stack.pop()
             parts.append("D")
-    return "".join(parts)
+        if not stack:
+            return "".join(parts)
+        cur = stack.pop()
+        parts.append("U")
+        stack.append(None)
+        cur = cur.right  # type: ignore[union-attr]
 
 
 def _check_dyck(word: str) -> None:
@@ -343,22 +344,7 @@ def contact_vector(word: str) -> tuple[int, ...]:
 def descent_vector(word: str) -> tuple[int, ...]:
     """Entry i >= 1: length of the down-step run right after the i-th up step."""
     _check_dyck(word)
-    n = word.count("U")
-    d = [0] * (n + 1)
-    i = 0
-    p = 0
-    length = len(word)
-    while p < length:
-        if word[p] == "U":
-            i += 1
-            q = p + 1
-            while q < length and word[q] == "D":
-                q += 1
-            d[i] = q - (p + 1)
-            p = q
-        else:
-            p += 1
-    return tuple(d)
+    return (0,) + tuple(len(run) for run in word.split("U")[1:])
 
 
 _tree_cache: dict[int, tuple[BinaryTree, ...]] = {0: (LEAF,)}

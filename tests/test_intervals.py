@@ -317,3 +317,20 @@ def test_json_round_trip():
     text = interval_to_json(SIZE2)
     assert text == '{"n":2,"lower":"UDUD","upper":"UUDD"}'
     assert interval_from_json(text) == SIZE2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1]",
+        '{"lower":1,"upper":"UD"}',
+        '{"lower":"UD"}',
+        '{"n":true,"lower":"UD","upper":"UD"}',
+        '{"n":1.0,"lower":"UD","upper":"UD"}',
+        pytest.param("[" * 100000, id="deeply-nested"),
+    ],
+)
+def test_json_parser_rejects_wrong_shapes(text):
+    # only an object with string trees and an int (not bool) size parses
+    with pytest.raises(ValueError):
+        interval_from_json(text)

@@ -20,6 +20,7 @@ from tamari import (
     dual_degree_vector,
     dyck_from_tree,
     enumerate_binary_trees,
+    from_tree_pair,
     mirror,
     right_rotations,
     smooth_arcs,
@@ -27,6 +28,7 @@ from tamari import (
     tree_from_bracket_vector,
     tree_from_dual_bracket_vector,
     tree_from_dyck,
+    to_tree_pair,
 )
 
 T_A = tree_from_dyck("UUDD")  # (leaf, (leaf, leaf))
@@ -134,6 +136,46 @@ def test_bracket_decoding_brute_force_length_3():
         else:
             with pytest.raises(InvalidBracketVector):
                 tree_from_bracket_vector(v)
+
+
+@pytest.mark.parametrize(
+    "decode, encode",
+    [
+        (tree_from_bracket_vector, bracket_vector),
+        (tree_from_dual_bracket_vector, dual_bracket_vector),
+    ],
+)
+def test_bracket_decoding_brute_force(decode, encode):
+    # oracle: a vector with entries in -1..n+1 decodes exactly when it is the
+    # encoding of some tree, and then to that very tree; the re-encoding
+    # check the decoders no longer run lives on here
+    for n in range(7):
+        valid = {encode(t): t for t in all_trees(n)}
+        for v in itertools.product(range(-1, n + 2), repeat=n):
+            if v in valid:
+                t = decode(v)
+                assert t == valid[v] and encode(t) == v
+            else:
+                with pytest.raises(InvalidBracketVector):
+                    decode(v)
+
+
+def test_deep_combs_decode_and_encode_iteratively():
+    # combs of size 10^5 through every decoder, every encoder and the
+    # diagram round trip: nothing may hit the recursion limit
+    n = 10**5
+    left_comb = right_comb = LEAF
+    for _ in range(n):
+        left_comb = BinaryTree(left_comb, LEAF)
+        right_comb = BinaryTree(LEAF, right_comb)
+    assert dyck_from_tree(left_comb) == "UD" * n
+    assert dyck_from_tree(right_comb) == "U" * n + "D" * n
+    assert bracket_vector(left_comb) == dual_bracket_vector(right_comb) == (0,) * n
+    for t in (left_comb, right_comb):
+        assert tree_from_bracket_vector(bracket_vector(t)) == t
+        assert tree_from_dual_bracket_vector(dual_bracket_vector(t)) == t
+    for lower, upper in ((left_comb, right_comb), (right_comb, left_comb)):
+        assert to_tree_pair(from_tree_pair(lower, upper)) == (lower, upper)
 
 
 # -------------------------------------------------------------- degree vectors
