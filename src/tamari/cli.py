@@ -283,7 +283,13 @@ def _cmd_verify(args, out) -> int:
     failed = [r for r in results if not r.passed]
     if args.json:
         payload = [
-            {"check": r.name, "passed": r.passed, "detail": r.detail}
+            {
+                "check": r.name,
+                "passed": r.passed,
+                "detail": r.detail,
+                "checked": r.checked,
+                "seconds": round(r.seconds, 4),
+            }
             for r in results
         ]
         print(json.dumps(payload, separators=(",", ":")), file=out)

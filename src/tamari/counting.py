@@ -37,6 +37,7 @@ from .intervals import (
 
 __all__ = [
     "Family",
+    "PATTERN_CLASSIFIERS",
     "TallyResult",
     "count",
     "count_by_canopy_matches",
@@ -353,22 +354,25 @@ class TallyResult:
     canopy_matches: dict[int, int] = field(default_factory=dict)
 
 
+# The transfer lemmas: each family's direct classifier on intervals and its
+# forbidden-pattern classifier on the blossoming tree agree.
+PATTERN_CLASSIFIERS = {
+    Family.SYNCHRONIZED: (is_synchronized, is_synchronized_tree),
+    Family.MODERN: (is_modern, lambda tree: not non_modern_edges(tree)),
+    Family.INFINITELY_MODERN: (
+        is_infinitely_modern,
+        lambda tree: not non_modern_paths(tree),
+    ),
+    Family.KREWERAS: (is_kreweras, lambda tree: not non_kreweras_paths(tree)),
+}
+
+
 def _classify_both_ways(interval: TamariInterval) -> dict[Family, bool]:
     tree = from_interval(interval)
-    direct = {
-        Family.SYNCHRONIZED: is_synchronized(interval),
-        Family.MODERN: is_modern(interval),
-        Family.INFINITELY_MODERN: is_infinitely_modern(interval),
-        Family.KREWERAS: is_kreweras(interval),
-    }
-    via_patterns = {
-        Family.SYNCHRONIZED: is_synchronized_tree(tree),
-        Family.MODERN: not non_modern_edges(tree),
-        Family.INFINITELY_MODERN: not non_modern_paths(tree),
-        Family.KREWERAS: not non_kreweras_paths(tree),
-    }
-    for family, value in direct.items():
-        if via_patterns[family] != value:
+    direct = {}
+    for family, (on_interval, on_tree) in PATTERN_CLASSIFIERS.items():
+        direct[family] = on_interval(interval)
+        if on_tree(tree) != direct[family]:
             raise OracleDisagreement(
                 f"{family.value} classifiers disagree on {interval!r}"
             )

@@ -2,13 +2,17 @@
 
 Each check sweeps all intervals (or all tree pairs) up to a size bound and
 compares two independently computed answers.  ``run_checks`` powers the
-command-line ``verify`` command and returns one result per check;
-anything but a full pass means a bug, never bad input.
+command-line ``verify`` command and the acceptance tests, and returns one
+result per check; anything but a full pass means a bug, never bad input.
 """
 
 from __future__ import annotations
 
+import itertools
+import time
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from . import blossoming, counting, intervals, meandering, sampler, trees
@@ -18,221 +22,280 @@ __all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome: ``checked`` counts the items compared (0 when
+    the check failed) and ``seconds`` is its wall time, including any
+    enumeration it was the first to need."""
+
     name: str
     passed: bool
     detail: str
+    checked: int
+    seconds: float
 
 
-class _Context:
-    """Shared per-size caches so each sweep enumerates only once."""
-
-    def __init__(self, max_n: int):
-        self.max_n = max_n
-        self._images: dict[int, list] = {}
-        self._tallies: dict[int, counting.TallyResult] = {}
-
-    def sizes(self, cap: int | None = None) -> range:
-        top = self.max_n if cap is None else min(self.max_n, cap)
-        return range(1, top + 1)
-
-    def images(self, n: int):
-        if n not in self._images:
-            self._images[n] = [
-                (i, blossoming.from_interval(i))
-                for i in intervals.enumerate_intervals(n, max_size=n)
-            ]
-        return self._images[n]
-
-    def tally(self, n: int) -> counting.TallyResult:
-        if n not in self._tallies:
-            self._tallies[n] = counting.tally(n, max_size=n)
-        return self._tallies[n]
+class _Failed(Exception):
+    """Raised by a check on its first counterexample."""
 
 
-def _check_interval_counts(ctx: _Context):
+# Per-size sweeps depend on n alone, so every run_checks call in the
+# process shares them and each size is enumerated at most once.
+@lru_cache(maxsize=None)
+def _images(n: int) -> tuple:
+    """Every interval of size n paired with its blossoming tree."""
+    return tuple(
+        (i, blossoming.from_interval(i))
+        for i in intervals.enumerate_intervals(n, max_size=n)
+    )
+
+
+@lru_cache(maxsize=None)
+def _tally(n: int) -> counting.TallyResult:
+    return counting.tally(n, max_size=n)
+
+
+_CHECKS: dict[str, Callable[[int], tuple[int, str]]] = {}
+
+
+def _check(name: str):
+    """Register a check, a function of max_n returning (items checked,
+    detail); checks run in the order they are registered."""
+
+    def register(fn):
+        _CHECKS[name] = fn
+        return fn
+
+    return register
+
+
+def _sizes(max_n: int, cap: int | None = None) -> range:
+    top = max_n if cap is None else min(max_n, cap)
+    return range(1, top + 1)
+
+
+@_check("interval-counts")
+def _check_interval_counts(max_n: int):
     total = 0
-    for n in ctx.sizes():
+    for n in _sizes(max_n):
         observed = len(intervals.enumerate_intervals(n, max_size=n))
         if observed != counting.count(counting.Family.GENERAL, n):
-            return False, f"count mismatch at n = {n}"
+            raise _Failed(f"count mismatch at n = {n}")
         total += observed
-    return True, f"{total} intervals across n <= {ctx.max_n}"
+    return total, f"{total} intervals across n <= {max_n}"
 
 
-def _check_bijection_round_trips(ctx: _Context):
+@_check("bijection-round-trips")
+def _check_bijection_round_trips(max_n: int):
     checked = 0
-    for n in ctx.sizes():
-        for interval, tree in ctx.images(n):
+    for n in _sizes(max_n):
+        for interval, tree in _images(n):
             m = meandering.from_tree_pair(interval.lower, interval.upper)
             if meandering.to_tree_pair(m) != (interval.lower, interval.upper):
-                return False, f"pair/diagram round trip fails on {interval!r}"
+                raise _Failed(f"pair/diagram round trip fails on {interval!r}")
+            # the ends differ in color, so to_meandering may orient by one
+            path = blossoming.closure(tree)
+            if tree.half_color(path[1], path[0]) == tree.half_color(path[-2], path[-1]):
+                raise _Failed(f"closure ends share a color on {interval!r}")
             if blossoming.to_meandering(tree) != m:
-                return False, f"unfold/closure round trip fails on {interval!r}"
+                raise _Failed(f"unfold/closure round trip fails on {interval!r}")
+            if blossoming.from_meandering(m) != tree:
+                raise _Failed(f"diagram/unfold round trip fails on {interval!r}")
             if blossoming.to_interval(tree) != interval:
-                return False, f"interval round trip fails on {interval!r}"
+                raise _Failed(f"interval round trip fails on {interval!r}")
             checked += 1
-    return True, f"{checked} intervals round-tripped"
+    return checked, f"{checked} intervals round-tripped"
 
 
-def _check_diagram_trees_match_intervals(ctx: _Context):
+@_check("diagram-trees-vs-intervals")
+def _check_diagram_trees_match_intervals(max_n: int):
     checked = 0
-    for n in ctx.sizes(6):
+    for n in _sizes(max_n, 6):
         for low in trees.enumerate_binary_trees(n):
             for up in trees.enumerate_binary_trees(n):
                 m = meandering.from_tree_pair(low, up)
                 is_tree = meandering.is_meandering_tree(m)
                 if is_tree != trees.tamari_leq(low, up):
-                    return False, f"tree test disagrees on {low!r}, {up!r}"
-                if bool(meandering.flawed_pairs(m)) == is_tree:
-                    return False, f"flawed pairs disagree on {low!r}, {up!r}"
-                smooth = intervals.smooth_flawed_pairs(low, up)
-                if bool(smooth) != bool(meandering.flawed_pairs(m)):
-                    return False, f"flawed transfer fails on {low!r}, {up!r}"
+                    raise _Failed(f"tree test disagrees on {low!r}, {up!r}")
+                flawed = bool(meandering.flawed_pairs(m))
+                if flawed == is_tree:
+                    raise _Failed(f"flawed pairs disagree on {low!r}, {up!r}")
+                if bool(intervals.smooth_flawed_pairs(low, up)) != flawed:
+                    raise _Failed(f"flawed transfer fails on {low!r}, {up!r}")
                 checked += 1
-    return True, f"{checked} tree pairs checked"
+    return checked, f"{checked} tree pairs checked"
 
 
-def _transfer_check(name: str, direct: Callable, pattern: Callable):
-    def check(ctx: _Context):
+def _transfer_check(family: counting.Family) -> None:
+    direct, pattern = counting.PATTERN_CLASSIFIERS[family]
+
+    @_check(f"transfer-{family.value}")
+    def check(max_n: int):
         checked = 0
-        for n in ctx.sizes():
-            for interval, tree in ctx.images(n):
+        for n in _sizes(max_n):
+            for interval, tree in _images(n):
                 if direct(interval) != pattern(tree):
-                    return False, f"{name} transfer fails on {interval!r}"
+                    raise _Failed(f"{family.value} transfer fails on {interval!r}")
                 checked += 1
-        return True, f"{checked} intervals agree"
-
-    return check
+        return checked, f"{checked} intervals agree"
 
 
-def _check_duality(ctx: _Context):
+for _family in counting.PATTERN_CLASSIFIERS:
+    _transfer_check(_family)
+
+
+@_check("duality-and-symmetry")
+def _check_duality(max_n: int):
     checked = 0
-    for n in ctx.sizes():
-        lookup = {
-            interval: tree for interval, tree in ctx.images(n)
-        }
-        for interval, tree in ctx.images(n):
+    for n in _sizes(max_n):
+        lookup = dict(_images(n))
+        for interval, tree in _images(n):
             dual = intervals.dual_interval(interval)
             if blossoming.switch_colors(tree) != lookup[dual]:
-                return False, f"color switch fails on {interval!r}"
+                raise _Failed(f"color switch fails on {interval!r}")
             sym = blossoming.is_half_turn_symmetric(tree)
             if sym != intervals.is_self_dual(interval):
-                return False, f"half-turn symmetry fails on {interval!r}"
+                raise _Failed(f"half-turn symmetry fails on {interval!r}")
             checked += 1
-    return True, f"{checked} intervals commute with duality"
+    return checked, f"{checked} intervals commute with duality"
 
 
-def _check_self_dual_table(ctx: _Context):
-    for n in ctx.sizes(7):
-        result = ctx.tally(n)
+@_check("family-count-formulas")
+def _check_family_counts(max_n: int):
+    checked = 0
+    for n in _sizes(max_n, 8):
+        result = _tally(n)
+        for family in counting.Family:
+            if result.families[family] != counting.count(family, n):
+                raise _Failed(f"{family.value} count fails at n = {n}")
+            checked += 1
+    return checked, f"all family formulas match for n <= {min(max_n, 8)}"
+
+
+@_check("self-dual-table")
+def _check_self_dual_table(max_n: int):
+    checked = 0
+    for n in _sizes(max_n, 7):
+        result = _tally(n)
         for family in counting.Family:
             formula = counting.count_self_dual(family, n)
             if result.self_dual[family] != formula:
-                return (
-                    False,
+                raise _Failed(
                     f"self-dual {family.value} at n = {n}: "
-                    f"{result.self_dual[family]} != {formula}",
+                    f"{result.self_dual[family]} != {formula}"
                 )
-    return True, f"all families match for n <= {min(ctx.max_n, 7)}"
+            checked += 1
+    return checked, f"all families match for n <= {min(max_n, 7)}"
 
 
-def _check_family_counts(ctx: _Context):
-    for n in ctx.sizes(8):
-        result = ctx.tally(n)
-        for family in counting.Family:
-            if result.families[family] != counting.count(family, n):
-                return False, f"{family.value} count fails at n = {n}"
-    return True, f"all family formulas match for n <= {min(ctx.max_n, 8)}"
-
-
-def _check_parameter_transfer(ctx: _Context):
+@_check("parameter-transfer")
+def _check_parameter_transfer(max_n: int):
     checked = 0
-    for n in ctx.sizes():
-        for interval, tree in ctx.images(n):
+    for n in _sizes(max_n):
+        for interval, tree in _images(n):
             degrees = sorted(
                 blossoming.bi_degree(tree, v) for v in range(n + 1)
             )
             if degrees != sorted(intervals.bi_length_vector(interval)):
-                return False, f"bi-degree multiset fails on {interval!r}"
-            types = [blossoming.node_type(tree, v) for v in range(n + 1)]
-            counts = (
-                types.count(intervals.TYPE_11),
-                types.count(intervals.TYPE_00),
-                types.count(intervals.TYPE_10),
-            )
-            if counts != intervals.canopy_type_counts(interval):
-                return False, f"canopy type counts fail on {interval!r}"
+                raise _Failed(f"bi-degree multiset fails on {interval!r}")
+            types = Counter(blossoming.node_type(tree, v) for v in range(n + 1))
+            order = (intervals.TYPE_11, intervals.TYPE_00, intervals.TYPE_10)
+            if tuple(types[t] for t in order) != intervals.canopy_type_counts(interval):
+                raise _Failed(f"canopy type counts fail on {interval!r}")
             checked += 1
-    return True, f"{checked} intervals transfer their parameters"
+    return checked, f"{checked} intervals transfer their parameters"
 
 
-def _check_refined_counts(ctx: _Context):
+@_check("refined-canopy-counts")
+def _check_refined_counts(max_n: int):
+    checked = 0
     for n in range(1, 11):
         total = sum(
             counting.count_by_canopy_matches(n, k) for k in range(n)
         )
         if total != counting.count(counting.Family.GENERAL, n):
-            return False, f"canopy-match sum fails at n = {n}"
-    for n in ctx.sizes(7):
-        result = ctx.tally(n)
-        for agreements, observed in result.canopy_matches.items():
-            if observed != counting.count_by_canopy_matches(n, agreements - 2):
-                return False, f"canopy-match tally fails at n = {n}, k = {agreements - 2}"
-    return True, f"sum identity to n = 10, tallies to n <= {min(ctx.max_n, 7)}"
+            raise _Failed(f"canopy-match sum fails at n = {n}")
+        checked += 1
+    for n in _sizes(max_n, 7):
+        formula = {
+            k + 2: counting.count_by_canopy_matches(n, k) for k in range(n)
+        }
+        if _tally(n).canopy_matches != formula:
+            raise _Failed(f"canopy-match tally fails at n = {n}")
+        checked += len(formula)
+    for n in _sizes(max_n, 6):
+        synced = [i for i, _ in _images(n) if intervals.is_synchronized(i)]
+        sync = Counter(intervals.canopy_type_counts(i)[:2] for i in synced)
+        mod_sync = Counter(
+            intervals.canopy_type_counts(i)[:2] for i in synced if intervals.is_modern(i)
+        )
+        # a synchronized interval has no type-10 position, so i + j = n + 1
+        types = [(i, n + 1 - i) for i in range(1, n + 1)]
+        if sync != {t: counting.count_synchronized_by_types(*t) for t in types}:
+            raise _Failed(f"synchronized type tally fails at n = {n}")
+        if mod_sync != {t: counting.narayana(*t) for t in types}:
+            raise _Failed(f"Narayana tally fails at n = {n}")
+        checked += 2 * n
+    return checked, f"sum identity to n = 10, tallies to n <= {min(max_n, 7)}"
 
 
-def _check_trivariate(ctx: _Context):
-    degree = min(ctx.max_n, 7) + 1
+@_check("trivariate-series")
+def _check_trivariate(max_n: int):
+    degree = min(max_n, 7) + 1
     coeffs = counting.trivariate_coefficients(degree)
-    for n in ctx.sizes(7):
-        result = ctx.tally(n)
+    checked = 0
+    for n in _sizes(max_n, 7):
         expected = {
             key: value
             for key, value in coeffs.items()
             if sum(key) == n + 1
         }
-        if result.canopy_triples != expected:
-            return False, f"trivariate coefficients fail at n = {n}"
-    return True, f"coefficients match tallies up to degree {degree}"
+        if _tally(n).canopy_triples != expected:
+            raise _Failed(f"trivariate coefficients fail at n = {n}")
+        checked += len(expected)
+    return checked, f"coefficients match tallies up to degree {degree}"
 
 
-def _check_dyck_formulation(ctx: _Context):
+@_check("dyck-walk-formulation")
+def _check_dyck_formulation(max_n: int):
     checked = 0
-    for n in ctx.sizes():
-        for interval, _ in ctx.images(n):
+    for n in _sizes(max_n):
+        for interval, _ in _images(n):
             m = meandering.from_tree_pair(interval.lower, interval.upper)
             upper_word = trees.dyck_from_tree(interval.upper)
             lower_word = trees.dyck_from_tree(interval.lower)
             if meandering.upper_arc_counts(m) != trees.contact_vector(upper_word):
-                return False, f"contact vector fails on {interval!r}"
+                raise _Failed(f"contact vector fails on {interval!r}")
             if meandering.lower_arc_counts(m) != trees.descent_vector(lower_word):
-                return False, f"descent vector fails on {interval!r}"
+                raise _Failed(f"descent vector fails on {interval!r}")
             checked += 1
-    return True, f"{checked} intervals match the walk statistics"
+    return checked, f"{checked} intervals match the walk statistics"
 
 
-def _check_decomposition(ctx: _Context):
-    for n in ctx.sizes(8):
-        if meandering.count_meandering_trees(n) != counting.count(
-            counting.Family.GENERAL, n
-        ):
-            return False, f"recursive count fails at n = {n}"
+@_check("recursive-decomposition")
+def _check_decomposition(max_n: int):
+    for n in range(min(max_n, 8) + 1):
+        # the empty diagram is the one meandering tree of size 0
+        expected = 1 if n == 0 else counting.count(counting.Family.GENERAL, n)
+        if meandering.count_meandering_trees(n) != expected:
+            raise _Failed(f"recursive count fails at n = {n}")
     checked = 0
-    for n in ctx.sizes():
-        for interval, _ in ctx.images(n):
+    for n in _sizes(max_n):
+        for interval, _ in _images(n):
             m = meandering.from_tree_pair(interval.lower, interval.upper)
             left, right, j = meandering.decompose(m)
             if meandering.compose(left, right, j) != m:
-                return False, f"decompose round trip fails on {interval!r}"
+                raise _Failed(f"decompose round trip fails on {interval!r}")
             checked += 1
-    return True, f"counts match and {checked} round trips hold"
+    return checked, f"counts match and {checked} round trips hold"
 
 
-def _check_reflection_involution(ctx: _Context):
-    for n in ctx.sizes(6):
-        pairs = {}
-        for interval, _ in ctx.images(n):
-            pairs[interval] = blossoming.reflect_interval(interval)
+@_check("reflection-involution")
+def _check_reflection_involution(max_n: int):
+    # rho is an involution, so the exchanges checked one way below also
+    # hold the other way: Kreweras onto infinitely modern, trivial onto
+    # modern-synchronized
+    checked = 0
+    for n in _sizes(max_n, 6):
+        pairs = {i: blossoming.reflect_interval(i) for i, _ in _images(n)}
         trivial = {i for i in pairs if intervals.is_trivial(i)}
         mod_sync = {
             i
@@ -241,137 +304,94 @@ def _check_reflection_involution(ctx: _Context):
         }
         for interval, image in pairs.items():
             if pairs[image] != interval:
-                return False, f"reflection not an involution on {interval!r}"
+                raise _Failed(f"reflection not an involution on {interval!r}")
             if intervals.dual_interval(image) != pairs[intervals.dual_interval(interval)]:
-                return False, f"reflection does not commute with duality on {interval!r}"
+                raise _Failed(f"reflection does not commute with duality on {interval!r}")
             if intervals.is_synchronized(image) != intervals.is_synchronized(interval):
-                return False, f"reflection breaks synchronization on {interval!r}"
+                raise _Failed(f"reflection breaks synchronization on {interval!r}")
             if intervals.is_kreweras(image) != intervals.is_infinitely_modern(interval):
-                return False, f"family exchange fails on {interval!r}"
+                raise _Failed(f"family exchange fails on {interval!r}")
+            checked += 1
         if {pairs[i] for i in mod_sync} != trivial:
-            return False, f"modern-synchronized vs trivial exchange fails at n = {n}"
-    return True, f"involution verified for n <= {min(ctx.max_n, 6)}"
+            raise _Failed(f"modern-synchronized vs trivial exchange fails at n = {n}")
+    return checked, f"involution verified for n <= {min(max_n, 6)}"
 
 
-def _check_sampler(ctx: _Context):
-    import itertools
-
-    for n in ctx.sizes(5):
+@_check("sampler-encoding")
+def _check_sampler(max_n: int):
+    checked = 0
+    for n in _sizes(max_n, 5):
+        # every composition of n - 1 into 3n + 3 parts, as gaps between bars
         parts = 3 * n + 3
-        total = n - 1
+        slots = n - 1 + parts - 1
         seqs = set()
         compositions = 0
-        for bars in itertools.combinations(range(total + parts - 1), parts - 1):
-            comp = []
-            prev = -1
-            for b in bars:
-                comp.append(b - prev - 1)
-                prev = b
-            comp.append(total + parts - 1 - prev - 1)
+        for bars in itertools.combinations(range(slots), parts - 1):
+            ends = (-1, *bars, slots)
+            comp = tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
             compositions += 1
-            for shifted in sampler.valid_shifts(tuple(comp)):
-                seqs.add(shifted)
+            seqs.update(sampler.valid_shifts(comp))
         if (n + 1) * len(seqs) != 2 * compositions:
-            return False, f"cycle lemma count fails at n = {n}"
-        counts: dict[bytes, int] = {}
+            raise _Failed(f"cycle lemma count fails at n = {n}")
+        counts: Counter[bytes] = Counter()
         for seq in seqs:
             tree, mark = sampler.sequence_to_marked_tree(seq)
             if sampler.marked_tree_to_sequence(tree, mark) != seq:
-                return False, f"encoding round trip fails on {seq}"
-            key = blossoming.canonical_encode(tree)
-            counts[key] = counts.get(key, 0) + 1
+                raise _Failed(f"encoding round trip fails on {seq}")
+            counts[blossoming.canonical_encode(tree)] += 1
         expected = {
-            blossoming.canonical_encode(tree) for _, tree in ctx.images(n)
+            blossoming.canonical_encode(tree) for _, tree in _images(n)
         }
         if set(counts) != expected or any(v != n for v in counts.values()):
-            return False, f"marked multiset fails at n = {n}"
+            raise _Failed(f"marked multiset fails at n = {n}")
+        checked += len(seqs)
     rng = sampler.RandomSource(20240)
     draws = 3000
-    freq: dict[str, int] = {}
-    for _ in range(draws):
-        key = intervals.interval_to_text(sampler.sample_interval(2, rng))
-        freq[key] = freq.get(key, 0) + 1
+    freq = Counter(
+        intervals.interval_to_text(sampler.sample_interval(2, rng)) for _ in range(draws)
+    )
     if len(freq) != 3:
-        return False, "sampler missed an interval at n = 2"
+        raise _Failed("sampler missed an interval at n = 2")
     stat = sum((v - draws / 3) ** 2 / (draws / 3) for v in freq.values())
     if stat >= 13.8155:  # chi-square 0.001 critical value, 2 degrees of freedom
-        return False, f"uniformity smoke test fails: chi2 = {stat:.2f}"
-    return True, f"encoding bijective for n <= {min(ctx.max_n, 5)}, smoke test ok"
+        raise _Failed(f"uniformity smoke test fails: chi2 = {stat:.2f}")
+    return checked, f"encoding bijective for n <= {min(max_n, 5)}, smoke test ok"
 
 
-def _check_series_consistency(ctx: _Context):
-    counting.modern_series_coefficients(min(ctx.max_n + 1, 9))
-    for n in ctx.sizes(8):
+@_check("series-consistency")
+def _check_series_consistency(max_n: int):
+    counting.modern_series_coefficients(min(max_n + 1, 9))
+    checked = 0
+    for n in _sizes(max_n, 8):
         via_j = counting.count_by_canopy_matches(n, n - 1)
         if via_j != counting.count(counting.Family.SYNCHRONIZED, n):
-            return False, f"synchronized special case fails at n = {n}"
-    return True, "modern planted series and specializations agree"
+            raise _Failed(f"synchronized special case fails at n = {n}")
+        checked += 1
+    return checked, "modern planted series and specializations agree"
 
 
-_CHECKS: list[tuple[str, Callable]] = [
-    ("interval-counts", _check_interval_counts),
-    ("bijection-round-trips", _check_bijection_round_trips),
-    ("diagram-trees-vs-intervals", _check_diagram_trees_match_intervals),
-    (
-        "transfer-synchronized",
-        _transfer_check(
-            "synchronized", intervals.is_synchronized, blossoming.is_synchronized_tree
-        ),
-    ),
-    (
-        "transfer-modern",
-        _transfer_check(
-            "modern",
-            intervals.is_modern,
-            lambda tree: not blossoming.non_modern_edges(tree),
-        ),
-    ),
-    (
-        "transfer-infinitely-modern",
-        _transfer_check(
-            "infinitely modern",
-            intervals.is_infinitely_modern,
-            lambda tree: not blossoming.non_modern_paths(tree),
-        ),
-    ),
-    (
-        "transfer-kreweras",
-        _transfer_check(
-            "Kreweras",
-            intervals.is_kreweras,
-            lambda tree: not blossoming.non_kreweras_paths(tree),
-        ),
-    ),
-    ("duality-and-symmetry", _check_duality),
-    ("family-count-formulas", _check_family_counts),
-    ("self-dual-table", _check_self_dual_table),
-    ("parameter-transfer", _check_parameter_transfer),
-    ("refined-canopy-counts", _check_refined_counts),
-    ("trivariate-series", _check_trivariate),
-    ("dyck-walk-formulation", _check_dyck_formulation),
-    ("recursive-decomposition", _check_decomposition),
-    ("reflection-involution", _check_reflection_involution),
-    ("sampler-encoding", _check_sampler),
-    ("series-consistency", _check_series_consistency),
-]
-
-CHECK_NAMES = [name for name, _ in _CHECKS]
+CHECK_NAMES = list(_CHECKS)
 
 
 def run_checks(max_n: int = 6, names: list[str] | None = None) -> list[CheckResult]:
     """Run the oracle suite up to size ``max_n``; returns one result per check."""
-    ctx = _Context(max_n)
     selected = set(CHECK_NAMES if names is None else names)
     unknown = selected - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     results = []
-    for name, fn in _CHECKS:
+    for name, fn in _CHECKS.items():
         if name not in selected:
             continue
+        start = time.perf_counter()
         try:
-            passed, detail = fn(ctx)
+            checked, detail = fn(max_n)
+            passed = True
+        except _Failed as exc:
+            passed, checked, detail = False, 0, str(exc)
         except Exception as exc:  # a crash is a failure, not an abort
-            passed, detail = False, f"exception: {exc!r}"
-        results.append(CheckResult(name=name, passed=passed, detail=detail))
+            passed, checked, detail = False, 0, f"exception: {exc!r}"
+        results.append(
+            CheckResult(name, passed, detail, checked, time.perf_counter() - start)
+        )
     return results

@@ -1,72 +1,20 @@
 """Acceptance suite: one test per criterion, at the stated sizes.
 
+Each criterion runs its ``tamari verify`` checks (``CRITERIA``) at its size;
+only the count table, the chi-square test and the golden SVGs live here.
 Each test prints a single PASS line on success (visible with -s or in the
-captured output); any failure is a hard assert.  Heavy per-size data is
-computed once in module-scoped caches and shared across criteria.
+captured output); any failure is a hard assert.
 """
 
 import re
 
-from tamari.blossoming import (
-    bi_degree,
-    canonical_encode,
-    from_interval,
-    from_meandering,
-    is_half_turn_symmetric,
-    is_synchronized_tree,
-    node_type,
-    non_kreweras_paths,
-    non_modern_edges,
-    non_modern_paths,
-    reflect_interval,
-    switch_colors,
-    to_interval,
-    to_meandering,
-)
-from tamari.counting import (
-    Family,
-    count,
-    count_by_canopy_matches,
-    count_self_dual,
-    count_synchronized_by_types,
-    narayana,
-    tally,
-    trivariate_coefficients,
-)
-from tamari.intervals import (
-    TYPE_00,
-    TYPE_10,
-    TYPE_11,
-    bi_length_vector,
-    canopy_type_counts,
-    dual_interval,
-    enumerate_intervals,
-    interval_to_text,
-    is_infinitely_modern,
-    is_kreweras,
-    is_modern,
-    is_self_dual,
-    is_synchronized,
-    is_trivial,
-)
-from tamari.meandering import (
-    compose,
-    count_meandering_trees,
-    decompose,
-    from_tree_pair,
-    lower_arc_counts,
-    to_tree_pair,
-    upper_arc_counts,
-)
+from tamari.blossoming import from_interval
+from tamari.counting import Family, count
+from tamari.intervals import enumerate_intervals, interval_from_text, interval_to_text
+from tamari.meandering import count_meandering_trees, from_tree_pair
 from tamari.render import render_blossoming, render_meandering, render_smooth
-from tamari.sampler import (
-    RandomSource,
-    marked_tree_to_sequence,
-    sample_interval,
-    sequence_to_marked_tree,
-    valid_shifts,
-)
-from tamari.trees import contact_vector, descent_vector, dyck_from_tree
+from tamari.sampler import RandomSource, sample_interval
+from tamari.verify import CHECK_NAMES, run_checks
 
 EXPECTED_COUNTS = {
     1: 1,
@@ -79,184 +27,83 @@ EXPECTED_COUNTS = {
     8: 118668,
 }
 
-_image_cache = {}
-_tally_cache = {}
+# criterion -> (max_n, the verify checks it runs)
+CRITERIA = {
+    1: (8, ["interval-counts"]),
+    2: (7, ["bijection-round-trips", "diagram-trees-vs-intervals"]),
+    3: (6, [f"transfer-{f}" for f in ("synchronized", "modern", "infinitely-modern", "kreweras")]),
+    4: (7, ["duality-and-symmetry", "family-count-formulas", "self-dual-table"]),
+    5: (7, ["refined-canopy-counts", "trivariate-series", "series-consistency"]),
+    6: (7, ["parameter-transfer"]),
+    7: (7, ["dyck-walk-formulation", "recursive-decomposition"]),
+    8: (5, ["sampler-encoding"]),
+    9: (6, ["reflection-involution"]),
+}
 
 
-def images(n):
-    if n not in _image_cache:
-        _image_cache[n] = [
-            (i, from_interval(i)) for i in enumerate_intervals(n, max_size=n)
-        ]
-    return _image_cache[n]
-
-
-def cached_tally(n):
-    if n not in _tally_cache:
-        _tally_cache[n] = tally(n, max_size=n)
-    return _tally_cache[n]
+def verified(number):
+    """Run the criterion's checks at its size; returns the results by name."""
+    max_n, names = CRITERIA[number]
+    results = {r.name: r for r in run_checks(max_n, names)}
+    failed = [r for r in results.values() if not r.passed]
+    assert not failed, failed
+    return results
 
 
 def report(number, message):
     print(f"ACCEPTANCE {number} PASS: {message}")
 
 
+def test_every_verify_check_backs_a_criterion():
+    covered = [name for _, names in CRITERIA.values() for name in names]
+    assert sorted(covered) == sorted(CHECK_NAMES)
+
+
 def test_criterion_1_interval_counts():
-    # n = 8 enumerates 118668 intervals; the whole loop stays well under
-    # the ten-minute budget
+    verified(1)
     for n, expected in EXPECTED_COUNTS.items():
-        observed = len(enumerate_intervals(n, max_size=8))
-        assert observed == expected == count(Family.GENERAL, n)
+        assert count(Family.GENERAL, n) == expected
     report(1, "interval counts match the closed formula for n = 1..8")
 
 
 def test_criterion_2_bijection_round_trips():
-    failures = 0
-    checked = 0
-    for n in range(1, 8):
-        for interval, tree in images(n):
-            pair = (interval.lower, interval.upper)
-            diagram = from_tree_pair(*pair)
-            if to_tree_pair(diagram) != pair:
-                failures += 1
-            if to_meandering(tree) != diagram:
-                failures += 1
-            if from_meandering(diagram) != tree:
-                failures += 1
-            if to_interval(tree) != interval:
-                failures += 1
-            checked += 1
-    assert failures == 0
+    checked = verified(2)["bijection-round-trips"].checked
     report(2, f"{checked} intervals up to size 7 round-trip exactly")
 
 
 def test_criterion_3_transfer_lemmas():
-    disagreements = 0
-    for n in range(1, 7):
-        for interval, tree in images(n):
-            if is_synchronized(interval) != is_synchronized_tree(tree):
-                disagreements += 1
-            if is_modern(interval) != (not non_modern_edges(tree)):
-                disagreements += 1
-            if is_infinitely_modern(interval) != (not non_modern_paths(tree)):
-                disagreements += 1
-            if is_kreweras(interval) != (not non_kreweras_paths(tree)):
-                disagreements += 1
-    assert disagreements == 0
+    verified(3)
     report(3, "all four forbidden-pattern classifiers agree up to size 6")
 
 
 def test_criterion_4_duality():
-    for n in range(1, 8):
-        lookup = {interval: tree for interval, tree in images(n)}
-        for interval, tree in images(n):
-            assert switch_colors(tree) == lookup[dual_interval(interval)]
-            assert is_half_turn_symmetric(tree) == is_self_dual(interval)
-    for n in range(1, 8):
-        result = cached_tally(n)
-        for family in Family:
-            assert result.self_dual[family] == count_self_dual(family, n), (
-                family,
-                n,
-            )
+    verified(4)
     report(4, "color switch transfers duality and Table values hold for n = 1..7")
 
 
 def test_criterion_5_refined_counts():
-    for n in range(1, 11):
-        assert sum(count_by_canopy_matches(n, k) for k in range(n)) == count(
-            Family.GENERAL, n
-        )
-    for n in range(1, 8):
-        result = cached_tally(n)
-        formula = {
-            k + 2: count_by_canopy_matches(n, k)
-            for k in range(n)
-            if count_by_canopy_matches(n, k)
-        }
-        assert result.canopy_matches == formula
-    for n in range(1, 7):
-        sync = {}
-        mod_sync = {}
-        for interval, _ in images(n):
-            if is_synchronized(interval):
-                i, j, _m = canopy_type_counts(interval)
-                sync[i, j] = sync.get((i, j), 0) + 1
-                if is_modern(interval):
-                    mod_sync[i, j] = mod_sync.get((i, j), 0) + 1
-        for (i, j), value in sync.items():
-            assert value == count_synchronized_by_types(i, j)
-        for (i, j), value in mod_sync.items():
-            assert value == narayana(i, j)
-    coeffs = trivariate_coefficients(7)
-    for n in range(1, 7):
-        observed = cached_tally(n).canopy_triples
-        expected = {k: v for k, v in coeffs.items() if sum(k) == n + 1}
-        assert observed == expected
+    verified(5)
     report(5, "refined counting formulas match brute force at the stated sizes")
 
 
 def test_criterion_6_parameter_transfer():
-    for n in range(1, 8):
-        for interval, tree in images(n):
-            assert sorted(bi_degree(tree, v) for v in range(n + 1)) == sorted(
-                bi_length_vector(interval)
-            )
-            types = [node_type(tree, v) for v in range(n + 1)]
-            assert (
-                types.count(TYPE_11),
-                types.count(TYPE_00),
-                types.count(TYPE_10),
-            ) == canopy_type_counts(interval)
+    verified(6)
     report(6, "bi-degrees and canopy types transfer for all intervals up to size 7")
 
 
 def test_criterion_7_dyck_formulation():
-    for n in range(1, 8):
-        for interval, _ in images(n):
-            m = from_tree_pair(interval.lower, interval.upper)
-            assert upper_arc_counts(m) == contact_vector(
-                dyck_from_tree(interval.upper)
-            )
-            assert lower_arc_counts(m) == descent_vector(
-                dyck_from_tree(interval.lower)
-            )
-            left, right, j = decompose(m)
-            assert compose(left, right, j) == m
-    for n in range(9):
-        expected = 1 if n == 0 else EXPECTED_COUNTS[n]
-        assert count_meandering_trees(n) == expected
+    verified(7)
+    # the check counts to its size; size 8 is too costly for the CLI
+    assert count_meandering_trees(8) == EXPECTED_COUNTS[8]
     report(7, "walk statistics and the recursive decomposition check out to size 8")
 
 
 def test_criterion_8_sampler_exactness():
-    import itertools
-
-    # encoding bijection over the full sequence sets up to size 5
-    for n in range(1, 6):
-        parts, total = 3 * n + 3, n - 1
-        seqs = set()
-        for bars in itertools.combinations(range(total + parts - 1), parts - 1):
-            comp, prev = [], -1
-            for b in bars:
-                comp.append(b - prev - 1)
-                prev = b
-            comp.append(total + parts - 1 - prev - 1)
-            for shifted in valid_shifts(tuple(comp)):
-                seqs.add(shifted)
-        counts = {}
-        for seq in seqs:
-            tree, mark = sequence_to_marked_tree(seq)
-            assert marked_tree_to_sequence(tree, mark) == seq
-            key = canonical_encode(tree)
-            counts[key] = counts.get(key, 0) + 1
-        expected_keys = {canonical_encode(tree) for _, tree in images(n)}
-        assert set(counts) == expected_keys
-        assert all(value == n for value in counts.values())
+    verified(8)
 
     # chi-square uniformity over the 68 intervals of size 4
     rng = RandomSource(424242)
-    frequencies = {interval_to_text(i): 0 for i, _ in images(4)}
+    frequencies = {interval_to_text(i): 0 for i in enumerate_intervals(4)}
     draws = 680000
     for _ in range(draws):
         frequencies[interval_to_text(sample_interval(4, rng))] += 1
@@ -274,22 +121,7 @@ def test_criterion_8_sampler_exactness():
 
 
 def test_criterion_9_reflection_involution():
-    for n in range(1, 7):
-        rho = {}
-        for interval, _ in images(n):
-            rho[interval] = reflect_interval(interval)
-        trivial = {i for i in rho if is_trivial(i)}
-        mod_sync = {i for i in rho if is_modern(i) and is_synchronized(i)}
-        inf_modern = {i for i in rho if is_infinitely_modern(i)}
-        kreweras = {i for i in rho if is_kreweras(i)}
-        for interval, image in rho.items():
-            assert rho[image] == interval
-            assert dual_interval(image) == rho[dual_interval(interval)]
-            assert is_synchronized(image) == is_synchronized(interval)
-        assert {rho[i] for i in inf_modern} == kreweras
-        assert {rho[i] for i in kreweras} == inf_modern
-        assert {rho[i] for i in mod_sync} == trivial
-        assert {rho[i] for i in trivial} == mod_sync
+    verified(9)
     report(9, "the reflection involution satisfies every claimed exchange to size 6")
 
 
@@ -309,16 +141,14 @@ def test_criterion_10_rendering():
         "smooth_n2.svg": render_smooth,
         "blossoming_n2.svg": lambda i: render_blossoming(from_interval(i)),
     }
-    fixture_interval = next(
-        i for i, _ in images(2) if interval_to_text(i) == "UDUD|UUDD"
-    )
+    fixture_interval = interval_from_text("UDUD|UUDD")
     for path in fixtures:
         figure = regenerated[path.name](fixture_interval)
         assert figure.to_bytes() == path.read_bytes()
 
     checked = 0
     for n in range(1, 6):
-        for interval, tree in images(n):
+        for interval in enumerate_intervals(n):
             svg = render_meandering(from_tree_pair(interval.lower, interval.upper)).svg
             arcs = []
             for side, x1, x2 in ARC_RE.findall(svg):

@@ -1,10 +1,14 @@
+import contextlib
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamari.cli import run
 from tamari.intervals import enumerate_intervals, interval_to_text
+from tamari.verify import CHECK_NAMES
 
 
 def invoke(argv):
@@ -120,8 +124,17 @@ def test_verify_command_small():
     code, text = invoke(["verify", "--max-n", "3"])
     assert code == 0
     assert "FAIL" not in text
+    total = len(CHECK_NAMES)
     lines = [line for line in text.splitlines() if line.startswith("PASS")]
-    assert len(lines) >= 15
+    assert len(lines) == total
+    assert text.splitlines()[-1] == f"{total}/{total} checks passed at max size 3"
+    code, text = invoke(["verify", "--max-n", "3", "--json"])
+    assert code == 0
+    rows = json.loads(text)
+    assert [row["check"] for row in rows] == CHECK_NAMES
+    for row in rows:
+        assert set(row) == {"check", "passed", "detail", "checked", "seconds"}
+        assert row["passed"] and row["checked"] > 0 and row["seconds"] >= 0
 
 
 def test_error_paths():
@@ -157,3 +170,36 @@ def test_unwritable_output_gives_one_json_error_line(tmp_path, capsys):
     assert code == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert json.loads(line)["error"] == "FileNotFoundError"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "up", "lo", "x"]), inner, max_size=4),
+    max_leaves=12,
+)
+
+SMALL_INTERVALS = [interval_to_text(i) for n in range(1, 4) for i in enumerate_intervals(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(
+        st.sampled_from(["map", "classify", "render"]),
+        st.text(alphabet="UD|", max_size=30) | st.sampled_from(SMALL_INTERVALS),
+    )
+    | st.tuples(st.just("unmap"), JSON_VALUES.map(json.dumps))
+)
+def test_cli_payloads_succeed_or_give_one_json_error_line(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = invoke(list(argv))
+    lines = err.getvalue().splitlines()
+    # exit 2 is an argparse usage error, e.g. a payload such as "-2.8e+240"
+    # that parses as an option
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert lines == []
+    elif code == 1:
+        (line,) = lines
+        assert "error" in json.loads(line)
