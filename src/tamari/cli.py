@@ -11,10 +11,10 @@ numeric output is exact; ``--json`` switches to machine-readable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from .blossoming import from_interval
 from .counting import (
     Family,
     count,
@@ -37,9 +37,10 @@ from .intervals import (
     is_self_dual,
     is_synchronized,
     is_trivial,
+    make_interval,
 )
-from .meandering import diagram_from_json, diagram_to_json, from_tree_pair
-from .render import render_blossoming, render_meandering, render_smooth
+from .meandering import diagram_from_json, diagram_to_json, from_tree_pair, to_tree_pair
+from .render import _blossoming_figure, render_blossoming, render_meandering, render_smooth
 from .sampler import RandomSource, sample_blossoming, sample_interval
 from .verify import run_checks
 
@@ -64,7 +65,10 @@ def _family(text: str) -> Family:
         raise argparse.ArgumentTypeError(f"unknown family {text!r}; choose from {names}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``run``; parsing
+    leaves no state in it, so every call can share it."""
     parser = argparse.ArgumentParser(
         prog="tamari",
         description="Tamari intervals, blossoming trees, counting and sampling",
@@ -160,9 +164,6 @@ def _cmd_map(args, out) -> int:
 
 
 def _cmd_unmap(args, out) -> int:
-    from .meandering import to_tree_pair
-    from .intervals import make_interval
-
     lower, upper = to_tree_pair(diagram_from_json(args.diagram))
     print(interval_to_text(make_interval(lower, upper)), file=out)
     return 0
@@ -232,7 +233,7 @@ def _cmd_render(args, out) -> int:
     elif args.style == "meandering":
         figure = render_meandering(from_tree_pair(interval.lower, interval.upper))
     else:
-        figure = render_blossoming(from_interval(interval))
+        figure = _blossoming_figure(from_tree_pair(interval.lower, interval.upper))
     _write_figure(figure, args.out, out)
     return 0
 
@@ -322,9 +323,8 @@ _COMMANDS = {
 def run(argv: list[str], out=None) -> int:
     """Parse and execute; returns the exit code.  Errors go to stderr as JSON."""
     out = sys.stdout if out is None else out
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -20,6 +20,7 @@ from .trees import (
     bracket_vector,
     canopy,
     degree_vector,
+    dual_bracket_vector,
     dual_degree_vector,
     dyck_from_tree,
     enumerate_binary_trees,
@@ -135,7 +136,12 @@ def dual_interval(interval: TamariInterval) -> TamariInterval:
 
 
 def is_self_dual(interval: TamariInterval) -> bool:
-    return dual_interval(interval) == interval
+    """True when ``dual_interval(interval) == interval``.
+
+    That holds exactly when the lower tree is the mirror of the upper one,
+    and the bracket vector of a mirror is the reversed dual bracket vector.
+    """
+    return bracket_vector(interval.lower) == dual_bracket_vector(interval.upper)[::-1]
 
 
 # -------------------------------------------------------------- rise / derise
@@ -279,7 +285,13 @@ def is_infinitely_modern(interval: TamariInterval) -> bool:
 
 
 def is_kreweras(interval: TamariInterval) -> bool:
-    return refines(iota(interval.lower), iota(interval.upper))
+    """True when ``refines(iota(interval.lower), iota(interval.upper))``.
+
+    Each node of a right branch of the lower tree must lie on the same
+    right branch of the upper tree as the top node of its lower branch.
+    """
+    upper = _branch_tops(interval.upper)
+    return all(upper[x] == upper[top] for x, top in enumerate(_branch_tops(interval.lower)))
 
 
 def is_new(interval: TamariInterval) -> bool:
@@ -312,15 +324,18 @@ class NonCrossingPartition:
         for idx, block in enumerate(normalized):
             for x in block:
                 owner[x] = idx
-        # non-crossing: scanning with a stack of open blocks
+        # non-crossing: scanning with a stack of open blocks; a block that
+        # is open but not on top is buried under a block opened after it
         stack: list[int] = []
+        opened = [False] * len(normalized)
         for x in range(1, n + 1):
             b = owner[x]
             if stack and stack[-1] == b:
                 pass
-            elif b in stack:
+            elif opened[b]:
                 raise ValueError("blocks cross")
             else:
+                opened[b] = True
                 stack.append(b)
             if x == normalized[b][-1]:
                 stack.pop()
@@ -338,22 +353,30 @@ class NonCrossingPartition:
         return f"<NonCrossingPartition {inner}>"
 
 
-def iota(t: BinaryTree) -> NonCrossingPartition:
-    """Partition of the infix-labeled nodes into maximal right branches."""
-    if t.is_leaf:
-        return NonCrossingPartition([])
-    blocks: dict[int, list[int]] = {}
-    # (subtree, smallest label inside, block the subtree root belongs to)
-    stack: list[tuple[BinaryTree, int, int | None]] = [(t, 1, None)]
+def _branch_tops(t: BinaryTree) -> list[int]:
+    """Entry x (x = 1..n, infix labels): the top node of the maximal right
+    branch through node x, its smallest label.  Entry 0 is 0."""
+    tops = [0] * (t.size + 1)
+    # (subtree, smallest label inside, top of the branch its root is on)
+    stack: list[tuple[BinaryTree, int, int]] = [(t, 1, 0)]
     while stack:
-        sub, lo, block = stack.pop()
-        if sub.is_leaf:
+        sub, lo, top = stack.pop()
+        if sub.left is None:
             continue
         label = lo + sub.left.size
-        key = label if block is None else block
-        blocks.setdefault(key, []).append(label)
-        stack.append((sub.left, lo, None))
-        stack.append((sub.right, label + 1, key))
+        top = top or label
+        tops[label] = top
+        stack.append((sub.left, lo, 0))
+        stack.append((sub.right, label + 1, top))
+    return tops
+
+
+def iota(t: BinaryTree) -> NonCrossingPartition:
+    """Partition of the infix-labeled nodes into maximal right branches."""
+    blocks: dict[int, list[int]] = {}
+    for x, top in enumerate(_branch_tops(t)):
+        if x:
+            blocks.setdefault(top, []).append(x)
     return NonCrossingPartition(blocks.values())
 
 

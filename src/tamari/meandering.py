@@ -28,10 +28,9 @@ from .errors import (
 from .trees import (
     BinaryTree,
     _nesting_runs,
+    _tree_from_runs,
     bracket_vector,
     dual_bracket_vector,
-    tree_from_bracket_vector,
-    tree_from_dual_bracket_vector,
 )
 
 __all__ = [
@@ -141,12 +140,20 @@ def from_tree_pair(lower: BinaryTree, upper: BinaryTree) -> MeanderingDiagram:
 
 
 def to_tree_pair(m: MeanderingDiagram) -> tuple[BinaryTree, BinaryTree]:
-    """Inverse of from_tree_pair: recover (lower, upper) from the arcs."""
-    lower = tree_from_bracket_vector([m.lo[t - 1] - t for t in range(1, m.n + 1)])
-    upper = tree_from_dual_bracket_vector(
-        [t - 1 - m.up[t - 1] for t in range(1, m.n + 1)]
-    )
-    return lower, upper
+    """Inverse of from_tree_pair: recover (lower, upper) from the arcs.
+
+    The constructor already checked that the arcs nest, so the Dyck runs of
+    each tree are counted straight from the arc ends: the lower span at t
+    ends at lo[t], the reversed upper span at n - up[t].
+    """
+    n = m.n
+    lower_runs = [0] * (n + 1)
+    upper_runs = [0] * (n + 1)
+    for v in m.lo:
+        lower_runs[v] += 1
+    for u in m.up:
+        upper_runs[n - u] += 1
+    return _tree_from_runs(lower_runs, False), _tree_from_runs(upper_runs, True)
 
 
 # ------------------------------------------------------------ graph structure

@@ -134,7 +134,16 @@ def render_smooth(interval: TamariInterval) -> Figure:
 
 def render_blossoming(tree: BlossomingTree) -> Figure:
     """Draw a blossoming tree in its meandering layout, buds as arrows."""
-    m = to_meandering(tree)
+    return _blossoming_figure(to_meandering(tree))
+
+
+def _blossoming_figure(m: MeanderingDiagram) -> Figure:
+    """The drawing of ``render_blossoming`` for the tree whose diagram is m.
+
+    The closure of ``from_interval(interval)`` stretches to
+    ``from_tree_pair(interval.lower, interval.upper)``, so an interval's
+    figure needs neither the blossoming tree nor its closure.
+    """
     n = m.n
     offset = MARGIN + BUD_LENGTH + BUD_HEAD
     width = 2 * offset + 2 * n * SPACING

@@ -151,9 +151,11 @@ def _check_duality(max_n: int):
             dual = intervals.dual_interval(interval)
             if blossoming.switch_colors(tree) != lookup[dual]:
                 raise _Failed(f"color switch fails on {interval!r}")
-            sym = blossoming.is_half_turn_symmetric(tree)
-            if sym != intervals.is_self_dual(interval):
+            self_dual = intervals.is_self_dual(interval)
+            if blossoming.is_half_turn_symmetric(tree) != self_dual:
                 raise _Failed(f"half-turn symmetry fails on {interval!r}")
+            if self_dual != (dual == interval):
+                raise _Failed(f"self-duality test fails on {interval!r}")
             checked += 1
     return checked, f"{checked} intervals commute with duality"
 
@@ -311,6 +313,11 @@ def _check_reflection_involution(max_n: int):
                 raise _Failed(f"reflection breaks synchronization on {interval!r}")
             if intervals.is_kreweras(image) != intervals.is_infinitely_modern(interval):
                 raise _Failed(f"family exchange fails on {interval!r}")
+            kreweras = intervals.refines(
+                intervals.iota(interval.lower), intervals.iota(interval.upper)
+            )
+            if intervals.is_kreweras(interval) != kreweras:
+                raise _Failed(f"Kreweras test fails on {interval!r}")
             checked += 1
         if {pairs[i] for i in mod_sync} != trivial:
             raise _Failed(f"modern-synchronized vs trivial exchange fails at n = {n}")
@@ -374,7 +381,10 @@ CHECK_NAMES = list(_CHECKS)
 
 
 def run_checks(max_n: int = 6, names: list[str] | None = None) -> list[CheckResult]:
-    """Run the oracle suite up to size ``max_n``; returns one result per check."""
+    """Run the oracle suite up to size ``max_n``; returns one result per check.
+
+    A check that compared no item fails with the detail ``checked nothing``.
+    """
     selected = set(CHECK_NAMES if names is None else names)
     unknown = selected - set(CHECK_NAMES)
     if unknown:
@@ -386,7 +396,9 @@ def run_checks(max_n: int = 6, names: list[str] | None = None) -> list[CheckResu
         start = time.perf_counter()
         try:
             checked, detail = fn(max_n)
-            passed = True
+            passed = checked > 0
+            if not passed:
+                detail = "checked nothing"
         except _Failed as exc:
             passed, checked, detail = False, 0, str(exc)
         except Exception as exc:  # a crash is a failure, not an abort

@@ -59,6 +59,17 @@ def test_every_verify_check_backs_a_criterion():
     assert sorted(covered) == sorted(CHECK_NAMES)
 
 
+def test_a_check_that_checked_nothing_does_not_pass():
+    at_zero = run_checks(0)
+    for r in at_zero:
+        assert r.passed == (r.checked > 0)
+        assert r.passed or r.detail == "checked nothing"
+    # only the canopy-match sum identity, fixed at n <= 10, checks anything
+    # when no size is enumerated
+    assert [r.name for r in at_zero if r.passed] == ["refined-canopy-counts"]
+    assert all(r.passed and r.checked > 0 for r in run_checks(1))
+
+
 def test_criterion_1_interval_counts():
     verified(1)
     for n, expected in EXPECTED_COUNTS.items():

@@ -42,17 +42,13 @@ from tamari.intervals import (
 from tamari.meandering import MeanderingDiagram, from_tree_pair, half_turn
 from tamari.trees import enumerate_binary_trees, tree_from_dyck
 
+# images(n): every interval of size n with its blossoming tree, from the
+# cache that tamari verify's checks share in this process
+from tamari.verify import _images as images
+
 T_A = tree_from_dyck("UUDD")
 T_B = tree_from_dyck("UDUD")
 SIZE2 = make_interval(T_B, T_A)
-
-_image_cache = {}
-
-
-def images(n):
-    if n not in _image_cache:
-        _image_cache[n] = [(i, from_interval(i)) for i in enumerate_intervals(n)]
-    return _image_cache[n]
 
 
 # ----------------------------------------------------------------- unfolding

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamari.cli import run
+from tamari.blossoming import from_interval
+from tamari.cli import _build_parser, run
 from tamari.intervals import enumerate_intervals, interval_to_text
+from tamari.render import render_blossoming
+from tamari.sampler import RandomSource, sample_interval
 from tamari.verify import CHECK_NAMES
 
 
@@ -100,6 +103,16 @@ def test_render_command(tmp_path):
     assert path.read_text().count('<path class="arc') == 4
     code, text = invoke(["render", "UDUD|UUDD"])
     assert code == 0 and text.startswith("<svg")
+
+
+def test_render_blossoming_draws_the_interval_own_diagram():
+    rng = RandomSource(31)
+    intervals = [i for n in range(1, 5) for i in enumerate_intervals(n)]
+    intervals += [sample_interval(n, rng) for n in (50, 500) for _ in range(3)]
+    for interval in intervals:
+        code, text = invoke(["render", interval_to_text(interval), "--style", "blossoming"])
+        assert code == 0
+        assert text == render_blossoming(from_interval(interval)).svg
 
 
 def test_series_command():
@@ -203,3 +216,60 @@ def test_cli_payloads_succeed_or_give_one_json_error_line(argv):
     elif code == 1:
         (line,) = lines
         assert "error" in json.loads(line)
+
+
+SMALL_TEXT = st.sampled_from(SMALL_INTERVALS) | st.text(alphabet="UD|", max_size=8)
+
+ARGVS = st.tuples(
+    st.one_of(
+        st.tuples(st.sampled_from(["classify", "map"]), SMALL_TEXT),
+        st.tuples(
+            st.just("render"),
+            SMALL_TEXT,
+            st.just("--style"),
+            st.sampled_from(["smooth", "meandering", "blossoming", "bogus"]),
+        ),
+        st.tuples(
+            st.just("unmap"),
+            st.sampled_from(
+                ['{"n":2,"up":[0,1],"lo":[1,2]}', '{"up":[0],"lo":[true]}', "[1,2]", "{"]
+            ),
+        ),
+        st.tuples(
+            st.just("count"),
+            st.just("--n"),
+            st.sampled_from(["1", "4", "x"]),
+            st.just("--family"),
+            st.sampled_from(["general", "kreweras", "nonsense"]),
+        ),
+        st.tuples(
+            st.just("enumerate"),
+            st.just("--n"),
+            st.sampled_from(["0", "2", "3", "x"]),
+            st.just("--family"),
+            st.sampled_from(["general", "modern", "nonsense"]),
+        ),
+    ),
+    st.sampled_from([(), ("--json",), ("--self-dual",), ("--bogus",), ("--k", "1")]),
+).map(lambda parts: [*parts[0], *parts[1]])
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv, out=out)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(ARGVS, min_size=1, max_size=10))
+def test_shared_parser_keeps_no_state_between_calls(argvs):
+    fresh = []
+    for argv in argvs:
+        _build_parser.cache_clear()
+        fresh.append(_outcome(argv))
+    # one shared parser for the whole list, run forward and then backward
+    forward = [_outcome(argv) for argv in argvs]
+    backward = [_outcome(argv) for argv in reversed(argvs)]
+    assert forward == fresh
+    assert backward[::-1] == fresh

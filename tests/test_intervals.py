@@ -31,9 +31,12 @@ from tamari.intervals import (
     rise,
     smooth_flawed_pairs,
 )
+from tamari.sampler import RandomSource, sample_interval
 from tamari.trees import (
     LEAF,
+    BinaryTree,
     enumerate_binary_trees,
+    mirror,
     tamari_leq,
     tree_from_dyck,
 )
@@ -290,7 +293,37 @@ def test_non_crossing_validation():
         NonCrossingPartition([[1, 3], [2, 4]])
     with pytest.raises(ValueError):
         NonCrossingPartition([[1, 1]])
+    with pytest.raises(ValueError):
+        NonCrossingPartition([[1, 4], [2, 5], [3]])
     NonCrossingPartition([[1, 4], [2, 3]])
+
+
+def test_deeply_nested_blocks_are_checked_in_one_pass():
+    # the tree whose right branches are {1, n}, {2, n - 1}, ...: every block
+    # stays open while all the later ones open and close inside it
+    n = 20_000
+    t = LEAF
+    for _ in range(n // 2):
+        t = BinaryTree(LEAF, BinaryTree(t, LEAF))
+    blocks = [[k, n + 1 - k] for k in range(1, n // 2 + 1)]
+    assert iota(t) == NonCrossingPartition(blocks)
+    assert is_kreweras(make_interval(t, t))
+
+
+def test_shortcut_classifiers_match_their_oracles_at_500():
+    rng = RandomSource(500)
+    sampled = [sample_interval(500, rng) for _ in range(6)]
+    left_comb = LEAF
+    for _ in range(500):
+        left_comb = BinaryTree(left_comb, LEAF)
+    # the whole lattice is self-dual, a trivial interval is Kreweras
+    cases = sampled + [make_interval(left_comb, mirror(left_comb))]
+    cases += [make_interval(i.lower, i.lower) for i in sampled[:3]]
+    self_dual = [is_self_dual(i) for i in cases]
+    kreweras = [is_kreweras(i) for i in cases]
+    assert self_dual == [dual_interval(i) == i for i in cases]
+    assert kreweras == [refines(iota(i.lower), iota(i.upper)) for i in cases]
+    assert set(self_dual) == set(kreweras) == {False, True}
 
 
 def test_refines_basics():
