@@ -45,8 +45,6 @@ from .trees import (
     tree_from_bracket_vector,
     tree_from_dual_bracket_vector,
     tree_from_dyck,
-    tree_from_text,
-    tree_to_text,
 )
 from .intervals import (
     NonCrossingPartition,
@@ -67,7 +65,6 @@ from .intervals import (
     is_self_dual,
     is_synchronized,
     is_trivial,
-    joint_canopy,
     make_interval,
     refines,
     rise,

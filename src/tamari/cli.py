@@ -16,6 +16,7 @@ import json
 import sys
 
 from .counting import (
+    FAMILY_PREDICATES,
     Family,
     count,
     count_by_canopy_matches,
@@ -40,22 +41,11 @@ from .intervals import (
     make_interval,
 )
 from .meandering import diagram_from_json, diagram_to_json, from_tree_pair, to_tree_pair
-from .render import _blossoming_figure, render_blossoming, render_meandering, render_smooth
+from .render import _diagram_figure, render_blossoming, render_smooth, save
 from .sampler import RandomSource, sample_blossoming, sample_interval
 from .verify import run_checks
 
 __all__ = ["main", "run"]
-
-_FAMILY_PREDICATES = {
-    Family.GENERAL: lambda interval: True,
-    Family.SYNCHRONIZED: is_synchronized,
-    Family.MODERN: is_modern,
-    Family.NEW: is_new,
-    Family.MODERN_SYNCHRONIZED: lambda i: is_modern(i) and is_synchronized(i),
-    Family.INFINITELY_MODERN: is_infinitely_modern,
-    Family.KREWERAS: is_kreweras,
-}
-
 
 def _family(text: str) -> Family:
     try:
@@ -149,7 +139,7 @@ def _cmd_count(args, out) -> int:
 
 
 def _cmd_enumerate(args, out) -> int:
-    predicate = _FAMILY_PREDICATES[args.family]
+    predicate = FAMILY_PREDICATES[args.family]
     for interval in enumerate_intervals(args.n):
         if predicate(interval):
             line = interval_to_json(interval) if args.json else interval_to_text(interval)
@@ -220,8 +210,7 @@ def _cmd_sample(args, out) -> int:
 
 def _write_figure(figure, path, out) -> None:
     if path:
-        with open(path, "wb") as handle:
-            handle.write(figure.to_bytes())
+        save(figure, path)
     else:
         out.write(figure.svg)
 
@@ -230,10 +219,9 @@ def _cmd_render(args, out) -> int:
     interval = interval_from_text(args.interval)
     if args.style == "smooth":
         figure = render_smooth(interval)
-    elif args.style == "meandering":
-        figure = render_meandering(from_tree_pair(interval.lower, interval.upper))
     else:
-        figure = _blossoming_figure(from_tree_pair(interval.lower, interval.upper))
+        m = from_tree_pair(interval.lower, interval.upper)
+        figure = _diagram_figure(m, buds=args.style == "blossoming")
     _write_figure(figure, args.out, out)
     return 0
 
@@ -278,8 +266,6 @@ def _cmd_tally(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    if args.max_n < 1:
-        raise UnsupportedSize("--max-n must be at least 1")
     results = run_checks(max_n=args.max_n)
     failed = [r for r in results if not r.passed]
     if args.json:

@@ -36,6 +36,7 @@ from .intervals import (
 )
 
 __all__ = [
+    "FAMILY_PREDICATES",
     "Family",
     "PATTERN_CLASSIFIERS",
     "TallyResult",
@@ -238,9 +239,14 @@ def _canopy_series_pair(cap: int) -> tuple[_Poly3, _Poly3]:
 MAX_SERIES_DEGREE = 9
 
 
-def trivariate_coefficients(
-    max_degree: int, cap: int | None = None
-) -> dict[tuple[int, int, int], int]:
+def _check_degree(max_degree: int) -> None:
+    if max_degree > MAX_SERIES_DEGREE:
+        raise UnsupportedSize(
+            f"degree {max_degree} exceeds the cap {MAX_SERIES_DEGREE}"
+        )
+
+
+def trivariate_coefficients(max_degree: int) -> dict[tuple[int, int, int], int]:
     """Coefficients I[i, j, m] counting intervals by joint canopy types.
 
     The triple (i, j, m) counts positions of types 11, 00 and 10, so the
@@ -248,9 +254,7 @@ def trivariate_coefficients(
     blossoming-tree series; the edge-rooted identity (each interval of size
     n counted n times equals the product series) is asserted on the way.
     """
-    limit = MAX_SERIES_DEGREE if cap is None else cap
-    if max_degree > limit:
-        raise UnsupportedSize(f"degree {max_degree} exceeds the cap {limit}")
+    _check_degree(max_degree)
     a, b = _canopy_series_pair(max_degree)
     ga = a.geometric()
     gb = b.geometric()
@@ -272,70 +276,40 @@ def trivariate_coefficients(
     return dict(sorted(f.coeffs.items()))
 
 
-def modern_series_coefficients(
-    max_degree: int, cap: int | None = None
-) -> tuple[list[int], list[int], list[int]]:
+def modern_series_coefficients(max_degree: int) -> tuple[list[int], list[int], list[int]]:
     """Coefficient lists (A, B, C) of the planted modern-tree series.
 
     A counts planted modern trees by nodes, B those whose root half-edge is
     followed clockwise by a bud, and C = A / (1 - B).  C has the closed
     form 2^(n-1)/(n+1) * binom(2n, n), asserted here, and (1 + C)^2 counts
-    node-rooted modern trees, giving back the modern interval counts.
+    node-rooted modern trees, giving back the modern interval counts.  The
+    series are the one-variable case of ``_Poly3``, in its first variable.
     """
-    limit = MAX_SERIES_DEGREE if cap is None else cap
-    if max_degree > limit:
-        raise UnsupportedSize(f"degree {max_degree} exceeds the cap {limit}")
-    size = max_degree + 1
-
-    def mul(p, q):
-        out = [0] * size
-        for i, pi in enumerate(p):
-            if pi:
-                for j, qj in enumerate(q):
-                    if i + j < size and qj:
-                        out[i + j] += pi * qj
-        return out
-
-    def geometric(p):
-        if p[0]:
-            raise ArithmeticError("geometric series needs zero constant term")
-        acc = [0] * size
-        acc[0] = 1
-        power = list(acc)
-        for _ in range(max_degree):
-            power = mul(power, p)
-            if not any(power):
-                break
-            acc = [u + v for u, v in zip(acc, power)]
-        return acc
-
-    z = [0] * size
-    if size > 1:
-        z[1] = 1
-    a = [0] * size
-    b = [0] * size
+    _check_degree(max_degree)
+    z = _Poly3.variable(0, max_degree)
+    one = _Poly3({(0, 0, 0): 1}, max_degree)
+    a = b = _Poly3.zero(max_degree)
     for _ in range(max_degree + 1):
-        gb = geometric(b)
-        c = mul(a, gb)
-        c_plus_one = list(c)
-        c_plus_one[0] += 1
-        new_a = mul(z, mul(gb, mul(c_plus_one, c_plus_one)))
-        new_b = mul(z, mul(gb, c_plus_one))
+        gb = b.geometric()
+        c_plus_one = one + a * gb
+        new_a = z * gb * c_plus_one * c_plus_one
+        new_b = z * gb * c_plus_one
         if new_a == a and new_b == b:
             break
         a, b = new_a, new_b
-    c = mul(a, geometric(b))
-    for n in range(1, size):
+    c = a * b.geometric()
+
+    def coefficients(p: _Poly3) -> list[int]:
+        return [p.coeffs.get((k, 0, 0), 0) for k in range(max_degree + 1)]
+
+    a, b, c, squared = map(coefficients, (a, b, c, (one + c) * (one + c)))
+    for n in range(1, max_degree + 1):
         expected = _exact_div(2 ** (n - 1) * comb(2 * n, n), n + 1)
         if c[n] != expected:
             raise OracleDisagreement(f"modern planted series: [z^{n}] = {c[n]} != {expected}")
-    c_plus_one = list(c)
-    c_plus_one[0] += 1
-    squared = mul(c_plus_one, c_plus_one)
-    for n in range(1, size):
         if _exact_div(squared[n], n + 1) != count(Family.MODERN, n):
             raise OracleDisagreement(f"modern count mismatch at n = {n}")
-    return a[:size], b[:size], c[:size]
+    return a, b, c
 
 
 # -------------------------------------------------------------- brute force
@@ -354,52 +328,53 @@ class TallyResult:
     canopy_matches: dict[int, int] = field(default_factory=dict)
 
 
-# The transfer lemmas: each family's direct classifier on intervals and its
-# forbidden-pattern classifier on the blossoming tree agree.
+# What each family means on an interval: its direct classifier.
+FAMILY_PREDICATES = {
+    Family.GENERAL: lambda interval: True,
+    Family.SYNCHRONIZED: is_synchronized,
+    Family.MODERN: is_modern,
+    Family.NEW: is_new,
+    Family.MODERN_SYNCHRONIZED: lambda i: is_modern(i) and is_synchronized(i),
+    Family.INFINITELY_MODERN: is_infinitely_modern,
+    Family.KREWERAS: is_kreweras,
+}
+
+# The transfer lemmas: each family's forbidden-pattern classifier on the
+# blossoming tree agrees with its predicate in FAMILY_PREDICATES.
 PATTERN_CLASSIFIERS = {
-    Family.SYNCHRONIZED: (is_synchronized, is_synchronized_tree),
-    Family.MODERN: (is_modern, lambda tree: not non_modern_edges(tree)),
-    Family.INFINITELY_MODERN: (
-        is_infinitely_modern,
-        lambda tree: not non_modern_paths(tree),
-    ),
-    Family.KREWERAS: (is_kreweras, lambda tree: not non_kreweras_paths(tree)),
+    Family.SYNCHRONIZED: is_synchronized_tree,
+    Family.MODERN: lambda tree: not non_modern_edges(tree),
+    Family.INFINITELY_MODERN: lambda tree: not non_modern_paths(tree),
+    Family.KREWERAS: lambda tree: not non_kreweras_paths(tree),
 }
 
 
 def _classify_both_ways(interval: TamariInterval) -> dict[Family, bool]:
+    membership = {family: member(interval) for family, member in FAMILY_PREDICATES.items()}
     tree = from_interval(interval)
-    direct = {}
-    for family, (on_interval, on_tree) in PATTERN_CLASSIFIERS.items():
-        direct[family] = on_interval(interval)
-        if on_tree(tree) != direct[family]:
+    for family, on_tree in PATTERN_CLASSIFIERS.items():
+        if on_tree(tree) != membership[family]:
             raise OracleDisagreement(
                 f"{family.value} classifiers disagree on {interval!r}"
             )
-    direct[Family.GENERAL] = True
-    direct[Family.NEW] = is_new(interval)
-    direct[Family.MODERN_SYNCHRONIZED] = (
-        direct[Family.MODERN] and direct[Family.SYNCHRONIZED]
-    )
-    return direct
+    return membership
 
 
-def tally(n: int, max_size: int | None = None) -> TallyResult:
-    """Classify every interval of size n with both classifier stacks.
+def tally(n: int) -> TallyResult:
+    """Classify every interval of size n <= 8 with both classifier stacks.
 
     Raises OracleDisagreement when a direct classifier and the blossoming
     pattern classifier differ on any interval, which would mean a bug.
     """
-    cap = 8 if max_size is None else max_size
-    if n > cap:
-        raise UnsupportedSize(f"size {n} exceeds the tally cap {cap}")
+    if n > 8:
+        raise UnsupportedSize(f"size {n} exceeds the tally cap 8")
     families = {family: 0 for family in Family}
     self_dual = {family: 0 for family in Family}
     triples: dict[tuple[int, int, int], int] = {}
     matches: dict[int, int] = {}
     total = 0
     dual_total = 0
-    for interval in enumerate_intervals(n, max_size=cap):
+    for interval in enumerate_intervals(n):
         total += 1
         membership = _classify_both_ways(interval)
         dual = is_self_dual(interval)

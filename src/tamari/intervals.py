@@ -3,8 +3,9 @@
 The classifiers here work straight from the definitions (canopy equality,
 validity of iterated rises, non-crossing-partition refinement, arc geometry
 of the smooth drawing).  Module ``blossoming`` provides an independent set
-of classifiers through forbidden patterns on blossoming trees; the test
-suite holds the two sides to exact agreement.
+of classifiers through forbidden patterns on blossoming trees; the
+``transfer-*`` checks of ``tamari verify`` hold the two sides to exact
+agreement.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .trees import (
     enumerate_binary_trees,
     mirror,
     smooth_arcs,
+    tamari_leq,
     tree_from_dyck,
 )
 
@@ -55,7 +57,6 @@ __all__ = [
     "is_self_dual",
     "is_synchronized",
     "is_trivial",
-    "joint_canopy",
     "make_interval",
     "refines",
     "rise",
@@ -115,7 +116,7 @@ def enumerate_intervals(n: int, max_size: int | None = None) -> list[TamariInter
     cap = MAX_INTERVAL_ENUMERATION_SIZE if max_size is None else max_size
     if n > cap:
         raise UnsupportedSize(f"size {n} exceeds the enumeration cap {cap}")
-    trees = enumerate_binary_trees(n, max_size=n)
+    trees = enumerate_binary_trees(n)
     vectors = [bracket_vector(t) for t in trees]
     out = []
     for i, low in enumerate(trees):
@@ -176,23 +177,14 @@ def derise(interval: TamariInterval) -> TamariInterval:
 # ----------------------------------------------------------- canopy statistics
 
 
-def joint_canopy(interval: TamariInterval) -> tuple[str, ...]:
-    """Per-position joint type of the two canopies, upper bit over lower bit.
-
-    The combination upper=0, lower=1 never occurs on a valid interval.
-    """
-    upper_bits = canopy(interval.upper)
-    lower_bits = canopy(interval.lower)
-    out = []
-    for ub, lb in zip(upper_bits, lower_bits):
-        out.append(f"{ub}{lb}")
-    return tuple(out)
-
-
 def canopy_type_counts(interval: TamariInterval) -> tuple[int, int, int]:
-    """Counts (i, j, m) of joint canopy entries of types 11, 00 and 10."""
-    jc = joint_canopy(interval)
-    return jc.count(TYPE_11), jc.count(TYPE_00), jc.count(TYPE_10)
+    """Counts (i, j, m) of joint canopy entries of types 11, 00 and 10.
+
+    The joint canopy pairs the upper tree's canopy bit over the lower
+    tree's at each position; upper 0 over lower 1 never occurs.
+    """
+    joint = list(zip(canopy(interval.upper), canopy(interval.lower)))
+    return joint.count((1, 1)), joint.count((0, 0)), joint.count((1, 0))
 
 
 def bi_length_vector(interval: TamariInterval) -> tuple[tuple[int, int], ...]:
@@ -217,8 +209,9 @@ def smooth_flawed_pairs(
     if lower.size != upper.size:
         raise SizeMismatch("trees must have equal size")
     out = []
+    up_arcs = smooth_arcs(upper)
     for low_arc in smooth_arcs(lower):
-        for up_arc in smooth_arcs(upper):
+        for up_arc in up_arcs:
             if up_arc[0] < low_arc[0] <= up_arc[1] < low_arc[1]:
                 out.append((low_arc, up_arc))
     return out
@@ -252,13 +245,8 @@ def is_synchronized(interval: TamariInterval) -> bool:
     return canopy(interval.lower) == canopy(interval.upper)
 
 
-def _pair_is_interval(pair: tuple[BinaryTree, BinaryTree]) -> bool:
-    low, up = pair
-    return all(a <= b for a, b in zip(bracket_vector(low), bracket_vector(up)))
-
-
 def is_modern(interval: TamariInterval) -> bool:
-    return _pair_is_interval(rise(interval))
+    return tamari_leq(*rise(interval))
 
 
 def is_k_modern(interval: TamariInterval, k: int) -> bool:
@@ -268,7 +256,7 @@ def is_k_modern(interval: TamariInterval, k: int) -> bool:
     pair = (interval.lower, interval.upper)
     for _ in range(k):
         pair = rise(pair)
-        if not _pair_is_interval(pair):
+        if not tamari_leq(*pair):
             return False
     return True
 

@@ -100,19 +100,7 @@ def _bud(x: int, axis_y: int, direction: int) -> list[str]:
 
 def render_meandering(m: MeanderingDiagram) -> Figure:
     """Draw a meandering diagram: 2n + 1 axis points and its 2n arcs."""
-    n = m.n
-    width = 2 * MARGIN + 2 * n * SPACING
-    axis_y = MARGIN + n * SPACING
-    height = 2 * axis_y
-    body = [_axis(MARGIN, width - MARGIN, axis_y)]
-    xs = [MARGIN + i * SPACING for i in range(2 * n + 1)]
-    for t in range(1, n + 1):
-        white_x = xs[2 * t - 1]
-        body.append(_arc(xs[2 * m.up[t - 1]], white_x, axis_y, upper=True))
-        body.append(_arc(white_x, xs[2 * m.lo[t - 1]], axis_y, upper=False))
-    for i, x in enumerate(xs):
-        body.append(_point(x, axis_y, black=i % 2 == 0))
-    return _document(width, max(height, 2 * MARGIN), body)
+    return _diagram_figure(m, buds=False)
 
 
 def render_smooth(interval: TamariInterval) -> Figure:
@@ -134,19 +122,18 @@ def render_smooth(interval: TamariInterval) -> Figure:
 
 def render_blossoming(tree: BlossomingTree) -> Figure:
     """Draw a blossoming tree in its meandering layout, buds as arrows."""
-    return _blossoming_figure(to_meandering(tree))
+    return _diagram_figure(to_meandering(tree), buds=True)
 
 
-def _blossoming_figure(m: MeanderingDiagram) -> Figure:
-    """The drawing of ``render_blossoming`` for the tree whose diagram is m.
+def _diagram_figure(m: MeanderingDiagram, buds: bool) -> Figure:
+    """The drawing of diagram m, with two buds at each black point if asked.
 
     The closure of ``from_interval(interval)`` stretches to
     ``from_tree_pair(interval.lower, interval.upper)``, so an interval's
-    figure needs neither the blossoming tree nor its closure.
+    blossoming figure needs neither the blossoming tree nor its closure.
     """
     n = m.n
-    offset = MARGIN + BUD_LENGTH + BUD_HEAD
-    width = 2 * offset + 2 * n * SPACING
+    offset = MARGIN + (BUD_LENGTH + BUD_HEAD if buds else 0)
     axis_y = MARGIN + n * SPACING
     xs = [offset + i * SPACING for i in range(2 * n + 1)]
     body = [_axis(xs[0], xs[-1], axis_y)]
@@ -154,9 +141,10 @@ def _blossoming_figure(m: MeanderingDiagram) -> Figure:
         white_x = xs[2 * t - 1]
         body.append(_arc(xs[2 * m.up[t - 1]], white_x, axis_y, upper=True))
         body.append(_arc(white_x, xs[2 * m.lo[t - 1]], axis_y, upper=False))
-    for k in range(n + 1):
-        body.extend(_bud(xs[2 * k], axis_y, -1))
-        body.extend(_bud(xs[2 * k], axis_y, +1))
+    if buds:
+        for x in xs[::2]:
+            body.extend(_bud(x, axis_y, -1))
+            body.extend(_bud(x, axis_y, +1))
     for i, x in enumerate(xs):
         body.append(_point(x, axis_y, black=i % 2 == 0))
-    return _document(width, max(2 * axis_y, 2 * MARGIN), body)
+    return _document(2 * offset + 2 * n * SPACING, max(2 * axis_y, 2 * MARGIN), body)

@@ -33,11 +33,9 @@ __all__ = [
     "tree_from_bracket_vector",
     "tree_from_dual_bracket_vector",
     "tree_from_dyck",
-    "tree_from_text",
-    "tree_to_text",
 ]
 
-#: Default cap on exhaustive enumeration, to keep memory bounded.
+#: Cap on exhaustive enumeration, to keep memory bounded.
 MAX_ENUMERATION_SIZE = 12
 
 
@@ -307,11 +305,6 @@ def tree_from_dyck(word: str) -> BinaryTree:
     return cur
 
 
-#: Text form of a tree is its Dyck word; the leaf is the empty word.
-tree_to_text = dyck_from_tree
-tree_from_text = tree_from_dyck
-
-
 def contact_vector(word: str) -> tuple[int, ...]:
     """Contacts of a Dyck walk, indexed by up steps.
 
@@ -321,23 +314,17 @@ def contact_vector(word: str) -> tuple[int, ...]:
     normative contract is contact_vector(w) == degree_vector(tree_from_dyck(w)).
     """
     _check_dyck(word)
-    heights = [0]
+    c = [0]
+    # stack[h]: the up step that last reached height h, 0 for the start; a
+    # down step landing at h is a contact of that step
+    stack = [0]
     for ch in word:
-        heights.append(heights[-1] + (1 if ch == "U" else -1))
-    n = word.count("U")
-    c = [0] * (n + 1)
-    c[0] = sum(1 for h in heights[1:] if h == 0)
-    i = 0
-    for p, ch in enumerate(word):
-        if ch != "U":
-            continue
-        i += 1
-        top = heights[p + 1]
-        for h in heights[p + 2:]:
-            if h < top:
-                break
-            if h == top:
-                c[i] += 1
+        if ch == "U":
+            stack.append(len(c))
+            c.append(0)
+        else:
+            stack.pop()
+            c[stack[-1]] += 1
     return tuple(c)
 
 
@@ -350,18 +337,18 @@ def descent_vector(word: str) -> tuple[int, ...]:
 _tree_cache: dict[int, tuple[BinaryTree, ...]] = {0: (LEAF,)}
 
 
-def enumerate_binary_trees(n: int, max_size: int | None = None) -> tuple[BinaryTree, ...]:
+def enumerate_binary_trees(n: int) -> tuple[BinaryTree, ...]:
     """All Catalan(n) binary trees of size n, in a fixed deterministic order.
 
-    Results are cached.  Sizes beyond ``max_size`` (default
-    MAX_ENUMERATION_SIZE) raise UnsupportedSize; pass a larger cap to
-    override.
+    Results are cached.  Sizes beyond MAX_ENUMERATION_SIZE raise
+    UnsupportedSize.
     """
     if n < 0:
         raise ValueError("size must be non-negative")
-    cap = MAX_ENUMERATION_SIZE if max_size is None else max_size
-    if n > cap:
-        raise UnsupportedSize(f"size {n} exceeds the enumeration cap {cap}")
+    if n > MAX_ENUMERATION_SIZE:
+        raise UnsupportedSize(
+            f"size {n} exceeds the enumeration cap {MAX_ENUMERATION_SIZE}"
+        )
     for m in range(1, n + 1):
         if m not in _tree_cache:
             _tree_cache[m] = tuple(

@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Callable
 
 from . import blossoming, counting, intervals, meandering, sampler, trees
+from .errors import UnsupportedSize
 
 __all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
 
@@ -48,9 +49,7 @@ def _images(n: int) -> tuple:
     )
 
 
-@lru_cache(maxsize=None)
-def _tally(n: int) -> counting.TallyResult:
-    return counting.tally(n, max_size=n)
+_tally = lru_cache(maxsize=None)(counting.tally)
 
 
 _CHECKS: dict[str, Callable[[int], tuple[int, str]]] = {}
@@ -125,7 +124,8 @@ def _check_diagram_trees_match_intervals(max_n: int):
 
 
 def _transfer_check(family: counting.Family) -> None:
-    direct, pattern = counting.PATTERN_CLASSIFIERS[family]
+    direct = counting.FAMILY_PREDICATES[family]
+    pattern = counting.PATTERN_CLASSIFIERS[family]
 
     @_check(f"transfer-{family.value}")
     def check(max_n: int):
@@ -383,8 +383,11 @@ CHECK_NAMES = list(_CHECKS)
 def run_checks(max_n: int = 6, names: list[str] | None = None) -> list[CheckResult]:
     """Run the oracle suite up to size ``max_n``; returns one result per check.
 
-    A check that compared no item fails with the detail ``checked nothing``.
+    A check that compared no item fails with the detail ``checked nothing``;
+    a ``max_n`` below 1 raises UnsupportedSize.
     """
+    if max_n < 1:
+        raise UnsupportedSize("max_n must be at least 1")
     selected = set(CHECK_NAMES if names is None else names)
     unknown = selected - set(CHECK_NAMES)
     if unknown:

@@ -8,8 +8,12 @@ captured output); any failure is a hard assert.
 
 import re
 
+import pytest
+
+from tamari import verify
 from tamari.blossoming import from_interval
 from tamari.counting import Family, count
+from tamari.errors import UnsupportedSize
 from tamari.intervals import enumerate_intervals, interval_from_text, interval_to_text
 from tamari.meandering import count_meandering_trees, from_tree_pair
 from tamari.render import render_blossoming, render_meandering, render_smooth
@@ -59,15 +63,16 @@ def test_every_verify_check_backs_a_criterion():
     assert sorted(covered) == sorted(CHECK_NAMES)
 
 
-def test_a_check_that_checked_nothing_does_not_pass():
-    at_zero = run_checks(0)
-    for r in at_zero:
-        assert r.passed == (r.checked > 0)
-        assert r.passed or r.detail == "checked nothing"
-    # only the canopy-match sum identity, fixed at n <= 10, checks anything
-    # when no size is enumerated
-    assert [r.name for r in at_zero if r.passed] == ["refined-canopy-counts"]
-    assert all(r.passed and r.checked > 0 for r in run_checks(1))
+def test_a_check_that_checked_nothing_does_not_pass(monkeypatch):
+    for max_n in (0, -1):
+        with pytest.raises(UnsupportedSize):
+            run_checks(max_n)
+    at_one = run_checks(1)
+    assert len(at_one) == len(CHECK_NAMES)
+    assert all(r.passed and r.checked > 0 for r in at_one)
+    monkeypatch.setitem(verify._CHECKS, "interval-counts", lambda max_n: (0, "no items"))
+    [result] = run_checks(1, ["interval-counts"])
+    assert not result.passed and result.detail == "checked nothing"
 
 
 def test_criterion_1_interval_counts():

@@ -3,9 +3,6 @@ import pytest
 from tamari.errors import NotAnInterval, NotDerisable, SizeMismatch, UnsupportedSize
 from tamari.intervals import (
     NonCrossingPartition,
-    TYPE_00,
-    TYPE_10,
-    TYPE_11,
     bi_length_vector,
     canopy_type_counts,
     derise,
@@ -25,16 +22,15 @@ from tamari.intervals import (
     is_self_dual,
     is_synchronized,
     is_trivial,
-    joint_canopy,
     make_interval,
     refines,
     rise,
-    smooth_flawed_pairs,
 )
 from tamari.sampler import RandomSource, sample_interval
 from tamari.trees import (
     LEAF,
     BinaryTree,
+    canopy,
     enumerate_binary_trees,
     mirror,
     tamari_leq,
@@ -137,34 +133,24 @@ def test_derisable_shape_does_not_imply_new():
 
 
 def test_joint_canopy_examples():
-    assert joint_canopy(SIZE2) == (TYPE_11, TYPE_10, TYPE_00)
+    # upper bit over lower bit: types 11, 10 and 00
+    joint = tuple(zip(canopy(SIZE2.upper), canopy(SIZE2.lower)))
+    assert joint == ((1, 1), (1, 0), (0, 0))
     assert canopy_type_counts(SIZE2) == (1, 1, 1)
     assert canopy_type_counts(make_interval(T_A, T_A)) == (2, 1, 0)
 
 
 def test_joint_canopy_never_01():
+    # every one of the n + 1 positions has type 11, 00 or 10
     for n in range(1, 7):
         for interval in enumerate_intervals(n):
-            assert "01" not in joint_canopy(interval)
+            assert sum(canopy_type_counts(interval)) == n + 1
 
 
 def test_bi_length_examples():
     one = enumerate_intervals(1)[0]
     assert bi_length_vector(one) == ((1, 0), (0, 1))
     assert bi_length_vector(SIZE2) == ((1, 0), (1, 1), (0, 1))
-
-
-# -------------------------------------------------------------- flawed pairs
-
-
-def test_flawed_pair_characterization_of_intervals():
-    # a pair is an interval iff its smooth drawing has no flawed pair
-    for n in range(1, 7):
-        trees = enumerate_binary_trees(n)
-        for low in trees:
-            for up in trees:
-                flawed = smooth_flawed_pairs(low, up)
-                assert (not flawed) == tamari_leq(low, up)
 
 
 # ---------------------------------------------------------------- classifiers

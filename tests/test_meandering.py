@@ -29,7 +29,6 @@ from tamari.meandering import (
     underlying_edges,
     upper_arc_counts,
 )
-from tamari.intervals import smooth_flawed_pairs
 from tamari.trees import (
     contact_vector,
     degree_vector,
@@ -160,15 +159,6 @@ def test_flawed_pairs_characterize_trees():
             assert (not flawed_pairs(m)) == is_meandering_tree(m)
 
 
-def test_flawed_pair_transfer_smooth_vs_diagram():
-    # a pair has a flawed pair in its smooth drawing iff its diagram does
-    for n in range(1, 7):
-        for low, up in all_pairs(n):
-            smooth = bool(smooth_flawed_pairs(low, up))
-            diagram = bool(flawed_pairs(from_tree_pair(low, up)))
-            assert smooth == diagram
-
-
 # ---------------------------------------------------------- non-Kreweras pairs
 
 
@@ -281,14 +271,6 @@ def test_compose_rejects_enclosed_point():
     right = from_tree_pair(T_A, T_A)  # lo = (2, 2): arc over point 1
     with pytest.raises(InvalidDecomposition):
         compose(MeanderingDiagram((), ()), right, 1)
-
-
-def test_compose_decompose_round_trip():
-    for n in range(1, 8):
-        for interval in enumerate_intervals(n):
-            m = from_tree_pair(interval.lower, interval.upper)
-            left, right, j = decompose(m)
-            assert compose(left, right, j) == m
 
 
 def test_recursive_count_matches_interval_numbers():

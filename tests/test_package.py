@@ -1,0 +1,53 @@
+"""Guards for deletions: every export names something that exists, and
+every demo still runs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import ModuleType
+
+import pytest
+
+import tamari
+from tamari import (
+    blossoming,
+    cli,
+    counting,
+    errors,
+    intervals,
+    meandering,
+    render,
+    sampler,
+    trees,
+    verify,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = [blossoming, cli, counting, intervals, meandering, render, sampler, trees, verify]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_name_in_all_exists(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_package_exports_are_module_exports():
+    exported = {name for module in MODULES for name in module.__all__}
+    exported.update(name for name in vars(errors) if not name.startswith("_"))
+    public = {
+        name
+        for name, value in vars(tamari).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert sorted(public - exported) == []
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

@@ -77,8 +77,6 @@ def test_enumerate_no_duplicates():
 def test_enumerate_cap_is_a_usage_error():
     with pytest.raises(UnsupportedSize):
         enumerate_binary_trees(13)
-    with pytest.raises(UnsupportedSize):
-        enumerate_binary_trees(5, max_size=4)
 
 
 # --------------------------------------------------------------------- mirror
@@ -161,8 +159,9 @@ def test_bracket_decoding_brute_force(decode, encode):
 
 
 def test_deep_combs_decode_and_encode_iteratively():
-    # combs of size 10^5 through every decoder, every encoder and the
-    # diagram round trip: nothing may hit the recursion limit
+    # combs of size 10^5 through every decoder, every encoder, the vector
+    # statistics and the diagram round trip: nothing may hit the recursion
+    # limit or take quadratic time
     n = 10**5
     left_comb = right_comb = LEAF
     for _ in range(n):
@@ -176,6 +175,16 @@ def test_deep_combs_decode_and_encode_iteratively():
         assert tree_from_dual_bracket_vector(dual_bracket_vector(t)) == t
     for lower, upper in ((left_comb, right_comb), (right_comb, left_comb)):
         assert to_tree_pair(from_tree_pair(lower, upper)) == (lower, upper)
+    assert contact_vector("UD" * n) == degree_vector(left_comb) == (n,) + (0,) * n
+    assert contact_vector("U" * n + "D" * n) == degree_vector(right_comb) == (1,) * n + (0,)
+    assert dual_degree_vector(left_comb) == (0,) + (1,) * n
+    assert dual_degree_vector(right_comb) == (0,) * n + (n,)
+    assert canopy(left_comb) == (1,) + (0,) * n
+    assert canopy(right_comb) == (1,) * n + (0,)
+    assert smooth_arcs(left_comb) == tuple((0, i) for i in range(1, n + 1))
+    assert smooth_arcs(right_comb) == tuple((i - 1, n) for i in range(1, n + 1))
+    assert mirror(left_comb) == right_comb and mirror(right_comb) == left_comb
+    assert tamari_leq(left_comb, right_comb) and not tamari_leq(right_comb, left_comb)
 
 
 # -------------------------------------------------------------- degree vectors
