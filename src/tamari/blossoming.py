@@ -414,7 +414,6 @@ def _path_endpoint_data(tree: BlossomingTree, root: int):
     """Per target node: parent edge and the first edge out of ``root``."""
     parent_edge = {root: None}
     first_edge = {root: None}
-    order = [root]
     queue = [root]
     while queue:
         v = queue.pop()
@@ -422,7 +421,6 @@ def _path_endpoint_data(tree: BlossomingTree, root: int):
             if w not in parent_edge:
                 parent_edge[w] = e
                 first_edge[w] = e if v == root else first_edge[v]
-                order.append(w)
                 queue.append(w)
     return parent_edge, first_edge
 

@@ -84,15 +84,10 @@ class TamariInterval:
     upper: BinaryTree
 
     def __post_init__(self):
-        if self.lower.size != self.upper.size:
-            raise SizeMismatch(
-                f"sizes {self.lower.size} and {self.upper.size} differ"
-            )
+        if not tamari_leq(self.lower, self.upper):
+            raise NotAnInterval("lower tree is not below upper tree")
         if self.lower.size < 1:
             raise UnsupportedSize("intervals have size >= 1")
-        for a, b in zip(bracket_vector(self.lower), bracket_vector(self.upper)):
-            if a > b:
-                raise NotAnInterval("lower tree is not below upper tree")
 
     @property
     def n(self) -> int:

@@ -143,17 +143,13 @@ def to_tree_pair(m: MeanderingDiagram) -> tuple[BinaryTree, BinaryTree]:
     """Inverse of from_tree_pair: recover (lower, upper) from the arcs.
 
     The constructor already checked that the arcs nest, so the Dyck runs of
-    each tree are counted straight from the arc ends: the lower span at t
-    ends at lo[t], the reversed upper span at n - up[t].
+    each tree are the arc counts at the black points: lower arcs in order,
+    upper arcs read from point n down to 0.
     """
-    n = m.n
-    lower_runs = [0] * (n + 1)
-    upper_runs = [0] * (n + 1)
-    for v in m.lo:
-        lower_runs[v] += 1
-    for u in m.up:
-        upper_runs[n - u] += 1
-    return _tree_from_runs(lower_runs, False), _tree_from_runs(upper_runs, True)
+    return (
+        _tree_from_runs(lower_arc_counts(m), False),
+        _tree_from_runs(upper_arc_counts(m)[::-1], True),
+    )
 
 
 # ------------------------------------------------------------ graph structure

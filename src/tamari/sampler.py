@@ -118,6 +118,18 @@ def _valid_shift_indices(blocks: list[int]) -> list[int]:
     return out
 
 
+def _sequence_size(seq: tuple[int, ...]) -> int:
+    """The n of a weak composition of n - 1 into 3(n + 1) parts."""
+    if len(seq) % 3 != 0 or len(seq) < 6:
+        raise InvalidSequence("length must be 3(n + 1) with n >= 1")
+    n = len(seq) // 3 - 1
+    if any(not isinstance(a, int) or a < 0 for a in seq):
+        raise InvalidSequence("entries must be non-negative integers")
+    if sum(seq) != n - 1:
+        raise InvalidSequence(f"entries must sum to {n - 1}")
+    return n
+
+
 def valid_shifts(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The cyclic block-shifts of a composition satisfying the prefix condition.
 
@@ -125,11 +137,7 @@ def valid_shifts(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
     anything else raises CycleLemmaViolation.
     """
     seq = tuple(seq)
-    if len(seq) % 3 != 0 or len(seq) < 6:
-        raise InvalidSequence("length must be 3(n + 1) with n >= 1")
-    n = len(seq) // 3 - 1
-    if any(not isinstance(a, int) or a < 0 for a in seq) or sum(seq) != n - 1:
-        raise InvalidSequence(f"entries must be naturals summing to {n - 1}")
+    _sequence_size(seq)
     out = [
         seq[3 * shift:] + seq[:3 * shift]
         for shift in _valid_shift_indices(_blocks(seq))
@@ -143,13 +151,7 @@ def valid_shifts(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def _validate_marked_sequence(seq: tuple[int, ...]) -> int:
-    if len(seq) % 3 != 0 or len(seq) < 6:
-        raise InvalidSequence("length must be 3(n + 1) with n >= 1")
-    n = len(seq) // 3 - 1
-    if any(not isinstance(a, int) or a < 0 for a in seq):
-        raise InvalidSequence("entries must be non-negative integers")
-    if sum(seq) != n - 1:
-        raise InvalidSequence(f"entries must sum to {n - 1}")
+    n = _sequence_size(seq)
     acc = 0
     for i in range(n):
         acc += seq[3 * i] + seq[3 * i + 1] + seq[3 * i + 2]
@@ -167,106 +169,61 @@ def sequence_to_marked_tree(seq) -> tuple[BlossomingTree, int]:
 
     Blocks of three are the child-group sizes of the nodes in first-visit
     order along the counterclockwise contour started at the middle of the
-    marked edge, on its red side.  The sequence splits at the first block
-    prefix summing to its index; the two halves rebuild the two rooted
-    halves of the tree, joined by the marked edge, and the bicoloring is
-    propagated from the red mark.
+    marked edge 0, on its red side.  One pass keeps a stack of open child
+    slots; each node fills the top one.  Node 0 is the red end of the mark,
+    and the node that finds the stack empty is its blue end: the prefix
+    condition with total n - 1 empties the stack exactly once before node n.
     """
     seq = tuple(seq)
     n = _validate_marked_sequence(seq)
-    triples = [(seq[3 * i], seq[3 * i + 1], seq[3 * i + 2]) for i in range(n + 1)]
-    acc = 0
-    split = None
-    for i in range(n + 1):
-        acc += sum(triples[i])
-        if acc == i:
-            split = i
-            break
-    if split is None or split >= n:
-        raise InvalidSequence("sequence does not split into two rooted trees")
-
-    items: list[list] = [[] for _ in range(n + 1)]
-    marked_edge = 0
-    next_edge = 1
-
-    def build(first: int, last: int, root_color: str) -> None:
-        nonlocal next_edge
-        # pending[v] holds (slot, color at v) for unfilled child slots, in
-        # counterclockwise order after the parent half-edge
-        pending: dict[int, deque[tuple[int, str]]] = {}
-
-        def open_node(v: int, parent_edge: int, color: str) -> None:
-            left, middle, right = triples[v]
-            seq_v: list = [(parent_edge, color)]
-            slots = []
-            for _ in range(left):
-                slots.append((len(seq_v), color))
-                seq_v.append(None)
-            seq_v.append(BUD)
-            for _ in range(middle):
-                slots.append((len(seq_v), _other_color(color)))
-                seq_v.append(None)
-            seq_v.append(BUD)
-            for _ in range(right):
-                slots.append((len(seq_v), color))
-                seq_v.append(None)
-            items[v] = seq_v
-            pending[v] = deque(slots)
-
-        open_node(first, marked_edge, root_color)
-        stack = [first]
-        for child in range(first + 1, last + 1):
-            while not pending[stack[-1]]:
-                stack.pop()
-            parent = stack[-1]
-            slot, color = pending[parent].popleft()
-            edge = next_edge
-            next_edge += 1
+    items: list[list] = []
+    slots: list[tuple[int, int, str]] = []  # (node, slot, color at node)
+    edge = 0
+    for v in range(n + 1):
+        if slots:
+            parent, slot, color = slots.pop()
+            edge += 1
             items[parent][slot] = (edge, color)
-            open_node(child, edge, _other_color(color))
-            stack.append(child)
-        if any(pending[v] for v in range(first, last + 1)):
-            raise InvalidSequence("arities do not close the rooted tree")
-
-    build(0, split, RED)
-    build(split + 1, n, BLUE)
-    return BlossomingTree(items), marked_edge
+            half = (edge, _other_color(color))
+        else:
+            half = (0, RED if v == 0 else BLUE)
+        left, middle, right = seq[3 * v:3 * v + 3]
+        color, other = half[1], _other_color(half[1])
+        node = [half] + [None] * left + [BUD] + [None] * middle + [BUD] + [None] * right
+        items.append(node)
+        # pushed in reverse, so the next pop is this node's first free slot;
+        # the slots between the two buds take the other color
+        for s in range(len(node) - 1, 0, -1):
+            if node[s] is None:
+                slots.append((v, s, other if left + 1 < s < left + middle + 2 else color))
+    return BlossomingTree(items), 0
 
 
 def marked_tree_to_sequence(tree: BlossomingTree, marked_edge: int) -> tuple[int, ...]:
     """Inverse encoding: child-group sizes along the contour from the mark."""
     v1, v2 = tree.edge_ends(marked_edge)
-    if tree.half_color(marked_edge, v1) == RED:
-        red_end, blue_end = v1, v2
-    else:
-        red_end, blue_end = v2, v1
+    if tree.half_color(marked_edge, v1) == BLUE:
+        v1, v2 = v2, v1
     out: list[int] = []
-
-    def walk(root: int, parent_edge: int) -> None:
-        work = [(root, parent_edge)]
-        while work:
-            v, pedge = work.pop()
-            seq = tree.items[v]
-            size = len(seq)
-            start = tree.slot(pedge, v)
-            groups: list[list[int]] = [[], [], []]
-            g = 0
-            for step in range(1, size):
-                item = seq[(start + step) % size]
-                if item == BUD:
-                    g += 1
-                else:
-                    groups[g].append(item[0])
-            out.extend(len(group) for group in groups)
-            children = groups[0] + groups[1] + groups[2]
-            for e in reversed(children):
-                work.append((tree.across(e, v), e))
-
-    walk(red_end, marked_edge)
-    walk(blue_end, marked_edge)
-    seq = tuple(out)
-    _validate_marked_sequence(seq)
-    return seq
+    work = [(v2, marked_edge), (v1, marked_edge)]  # the red end comes first
+    while work:
+        v, pedge = work.pop()
+        seq = tree.items[v]
+        size = len(seq)
+        start = tree.slot(pedge, v)
+        groups: list[list[int]] = [[], [], []]
+        g = 0
+        for step in range(1, size):
+            item = seq[(start + step) % size]
+            if item == BUD:
+                g += 1
+            else:
+                groups[g].append(item[0])
+        out.extend(len(group) for group in groups)
+        children = groups[0] + groups[1] + groups[2]
+        for e in reversed(children):
+            work.append((tree.across(e, v), e))
+    return tuple(out)
 
 
 # ------------------------------------------------------------------- sampling

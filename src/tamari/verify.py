@@ -384,10 +384,12 @@ def run_checks(max_n: int = 6, names: list[str] | None = None) -> list[CheckResu
     """Run the oracle suite up to size ``max_n``; returns one result per check.
 
     A check that compared no item fails with the detail ``checked nothing``;
-    a ``max_n`` below 1 raises UnsupportedSize.
+    a ``max_n`` below 1 or above 8 raises UnsupportedSize.
     """
     if max_n < 1:
         raise UnsupportedSize("max_n must be at least 1")
+    if max_n > 8:
+        raise UnsupportedSize(f"max_n {max_n} exceeds the verify cap 8")
     selected = set(CHECK_NAMES if names is None else names)
     unknown = selected - set(CHECK_NAMES)
     if unknown:

@@ -64,7 +64,7 @@ def test_every_verify_check_backs_a_criterion():
 
 
 def test_a_check_that_checked_nothing_does_not_pass(monkeypatch):
-    for max_n in (0, -1):
+    for max_n in (0, -1, 9):
         with pytest.raises(UnsupportedSize):
             run_checks(max_n)
     at_one = run_checks(1)

@@ -168,6 +168,7 @@ def test_error_paths():
         ["unmap", "[" * 100000],
         ["sample", "--size", "4", "--count", "-1"],
         ["verify", "--max-n", "0"],
+        ["verify", "--max-n", "9"],
     ],
 )
 def test_bad_input_gives_one_json_error_line(argv, capsys):
@@ -249,6 +250,17 @@ ARGVS = st.tuples(
             st.just("--family"),
             st.sampled_from(["general", "modern", "nonsense"]),
         ),
+        st.tuples(
+            st.just("sample"),
+            st.just("--size"),
+            st.sampled_from(["1", "3", "-1", "x"]),
+            st.sampled_from(["--count", "--format"]),
+            st.sampled_from(["0", "2", "interval", "blossoming", "svg"]),
+        ),
+        st.tuples(st.just("series"), st.just("--n"), st.sampled_from(["1", "3", "10", "x"])),
+        st.tuples(st.just("tally"), st.just("--n"), st.sampled_from(["1", "3", "9", "x"])),
+        # only sizes that fail at once: --max-n 1 already runs every check
+        st.tuples(st.just("verify"), st.just("--max-n"), st.sampled_from(["0", "9", "x"])),
     ),
     st.sampled_from([(), ("--json",), ("--self-dual",), ("--bogus",), ("--k", "1")]),
 ).map(lambda parts: [*parts[0], *parts[1]])
@@ -273,3 +285,8 @@ def test_shared_parser_keeps_no_state_between_calls(argvs):
     backward = [_outcome(argv) for argv in reversed(argvs)]
     assert forward == fresh
     assert backward[::-1] == fresh
+    for code, _, err in fresh:
+        assert code in (0, 1, 2)
+        if code == 1:
+            (line,) = err.splitlines()
+            assert "error" in json.loads(line)

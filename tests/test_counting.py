@@ -7,17 +7,10 @@ from tamari.counting import (
     count_self_dual,
     count_synchronized_by_types,
     modern_series_coefficients,
-    narayana,
     tally,
     trivariate_coefficients,
 )
 from tamari.errors import UnsupportedSize
-from tamari.intervals import (
-    canopy_type_counts,
-    enumerate_intervals,
-    is_synchronized,
-    is_modern,
-)
 
 EXPECTED_GENERAL = [1, 3, 13, 68, 399, 2530, 16965, 118668]
 
@@ -50,13 +43,6 @@ def test_modern_at_zero_and_new_at_one():
 def test_kreweras_equals_infinitely_modern():
     for n in range(1, 11):
         assert count(Family.KREWERAS, n) == count(Family.INFINITELY_MODERN, n)
-
-
-def test_counts_match_brute_force():
-    for n in range(1, 7):
-        result = tally(n)
-        for family in Family:
-            assert result.families[family] == count(family, n), family
 
 
 # ------------------------------------------------------------------ self-dual
@@ -107,44 +93,12 @@ def test_canopy_match_vanishes_out_of_range():
     assert count_by_canopy_matches(3, 5) == 0
 
 
-def test_canopy_match_brute_force():
-    for n in range(1, 7):
-        result = tally(n)
-        for agreements, observed in result.canopy_matches.items():
-            assert observed == count_by_canopy_matches(n, agreements - 2)
-
-
 def test_synchronized_by_types_examples():
     assert count_synchronized_by_types(1, 1) == 1
     assert count_synchronized_by_types(1, 2) == 1
     assert count_synchronized_by_types(2, 1) == 1
     total = count_synchronized_by_types(1, 2) + count_synchronized_by_types(2, 1)
     assert total == count(Family.SYNCHRONIZED, 2)
-
-
-def test_synchronized_by_types_brute_force():
-    for n in range(1, 7):
-        observed = {}
-        for interval in enumerate_intervals(n):
-            if is_synchronized(interval):
-                i, j, m = canopy_type_counts(interval)
-                assert m == 0
-                observed[i, j] = observed.get((i, j), 0) + 1
-        for (i, j), value in observed.items():
-            assert value == count_synchronized_by_types(i, j)
-        assert sum(observed.values()) == count(Family.SYNCHRONIZED, n)
-
-
-def test_narayana_brute_force():
-    for n in range(1, 7):
-        observed = {}
-        for interval in enumerate_intervals(n):
-            if is_synchronized(interval) and is_modern(interval):
-                i, j, m = canopy_type_counts(interval)
-                observed[i, j] = observed.get((i, j), 0) + 1
-        for (i, j), value in observed.items():
-            assert value == narayana(i, j)
-        assert sum(observed.values()) == count(Family.MODERN_SYNCHRONIZED, n)
 
 
 # ---------------------------------------------------------- trivariate series
@@ -169,17 +123,6 @@ def test_trivariate_symmetry_under_duality():
     coeffs = trivariate_coefficients(8)
     for (i, j, m), value in coeffs.items():
         assert coeffs[j, i, m] == value
-
-
-def test_trivariate_matches_brute_force():
-    coeffs = trivariate_coefficients(7)
-    for n in range(1, 7):
-        result = tally(n)
-        observed = {k: v for k, v in result.canopy_triples.items()}
-        expected = {
-            (i, j, m): v for (i, j, m), v in coeffs.items() if i + j + m == n + 1
-        }
-        assert observed == expected
 
 
 def test_trivariate_cap():
