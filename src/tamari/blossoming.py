@@ -83,12 +83,12 @@ class BlossomingTree:
         items = tuple(tuple(seq) for seq in items)
         if len(items) < 2:
             raise InvalidBlossoming("a blossoming tree has at least two nodes")
-        ends: dict = {}
         for v, seq in enumerate(items):
-            bud_slots = [i for i, it in enumerate(seq) if it == BUD]
-            if len(bud_slots) != 2:
-                raise InvalidBlossoming(f"node {v} carries {len(bud_slots)} buds")
-            i, j = bud_slots
+            buds = seq.count(BUD)
+            if buds != 2:
+                raise InvalidBlossoming(f"node {v} carries {buds} buds")
+            i = seq.index(BUD)
+            j = seq.index(BUD, i + 1)
             groups = (seq[i + 1: j], seq[j + 1:] + seq[:i])
             colors = []
             for group in groups:
@@ -104,9 +104,7 @@ class BlossomingTree:
                 colors.append(seen)
             if colors[0] and colors[0] == colors[1]:
                 raise InvalidBlossoming(f"buds of node {v} do not separate the colors")
-            for slot, it in enumerate(seq):
-                if it != BUD:
-                    ends.setdefault(it[0], []).append((v, slot, it[1]))
+        ends = _half_edges(items)
         if len(ends) != len(items) - 1:
             raise InvalidBlossoming(
                 f"{len(ends)} edges on {len(items)} nodes cannot form a tree"
@@ -119,19 +117,32 @@ class BlossomingTree:
                 x = parent[x]
             return x
 
-        slots = {}
-        endpoints = {}
-        adj: list[list[tuple[int, int]]] = [[] for _ in items]
         for e, sides in ends.items():
             if len(sides) != 2:
                 raise InvalidBlossoming(f"edge {e} has {len(sides)} half-edges")
-            (v1, s1, c1), (v2, s2, c2) = sides
+            (v1, _, c1), (v2, _, c2) = sides
             if c1 == c2:
                 raise InvalidBlossoming(f"edge {e} is monochromatic")
             ru, rv = find(v1), find(v2)
             if ru == rv:
                 raise InvalidBlossoming("the plain edges contain a cycle")
             parent[ru] = rv
+        self._index(items, ends)
+
+    @classmethod
+    def _trusted(cls, items: tuple[tuple, ...]) -> BlossomingTree:
+        """Index items the caller knows to form a valid blossoming tree."""
+        tree = object.__new__(cls)
+        tree._index(items, _half_edges(items))
+        return tree
+
+    def _index(self, items: tuple[tuple, ...], ends: dict) -> None:
+        """Set the fields from the items and their half-edges: ``_ends``
+        and ``_adj`` list the edges in order of first appearance."""
+        slots = {}
+        endpoints = {}
+        adj: list[list[tuple[int, int]]] = [[] for _ in items]
+        for e, ((v1, s1, _), (v2, s2, _)) in ends.items():
             slots[e, v1] = s1
             slots[e, v2] = s2
             endpoints[e] = (v1, v2)
@@ -192,6 +203,17 @@ class BlossomingTree:
         return f"<BlossomingTree of size {self.n}>"
 
 
+def _half_edges(items: tuple[tuple, ...]) -> dict:
+    """Edge id to its half-edges (node, slot, color), edges in order of
+    first appearance along the nodes' item sequences."""
+    ends: dict = {}
+    for v, seq in enumerate(items):
+        for slot, it in enumerate(seq):
+            if it != BUD:
+                ends.setdefault(it[0], []).append((v, slot, it[1]))
+    return ends
+
+
 def canonical_encode(tree: BlossomingTree) -> bytes:
     """Injective byte encoding: the serialized closure diagram."""
     return tree.canonical()
@@ -214,23 +236,19 @@ def from_meandering(m: MeanderingDiagram) -> BlossomingTree:
 
     Counterclockwise around black point k the items read: right bud, upper
     arcs by increasing white endpoint (blue), left bud, lower arcs by
-    decreasing white endpoint (red).
+    decreasing white endpoint (red).  The unfolding of a meandering tree
+    is a valid blossoming tree, so it is indexed without a second check.
     """
     if not is_meandering_tree(m):
         raise NotATree("only meandering trees unfold to blossoming trees")
-    uppers: list[list[int]] = [[] for _ in range(m.n + 1)]
-    lowers: list[list[int]] = [[] for _ in range(m.n + 1)]
-    for t in range(1, m.n + 1):
-        uppers[m.up[t - 1]].append(t)
-        lowers[m.lo[t - 1]].append(t)
-    items = []
-    for k in range(m.n + 1):
-        seq: list = [BUD]
-        seq.extend((t, BLUE) for t in uppers[k])
-        seq.append(BUD)
-        seq.extend((t, RED) for t in reversed(lowers[k]))
-        items.append(seq)
-    return BlossomingTree(items)
+    uppers: list[list] = [[BUD] for _ in range(m.n + 1)]
+    lowers: list[list] = [[] for _ in range(m.n + 1)]
+    for t, (u, v) in enumerate(zip(m.up, m.lo), 1):
+        uppers[u].append((t, BLUE))
+        lowers[v].append((t, RED))
+    return BlossomingTree._trusted(
+        tuple((*up, BUD, *low[::-1]) for up, low in zip(uppers, lowers))
+    )
 
 
 # -------------------------------------------------------------------- closure
@@ -410,47 +428,88 @@ def non_modern_edges(tree: BlossomingTree) -> list[int]:
     return out
 
 
-def _path_endpoint_data(tree: BlossomingTree, root: int):
-    """Per target node: parent edge and the first edge out of ``root``."""
-    parent_edge = {root: None}
-    first_edge = {root: None}
-    queue = [root]
-    while queue:
-        v = queue.pop()
-        for e, w in tree.neighbors(v):
-            if w not in parent_edge:
-                parent_edge[w] = e
-                first_edge[w] = e if v == root else first_edge[v]
-                queue.append(w)
-    return parent_edge, first_edge
+def _good_links(tree: BlossomingTree, clockwise: bool) -> list[list[tuple[int, bool, bool]]]:
+    """Per node v, one entry (w, good at v, good at w) per edge vw.
+
+    A half-edge is good when the next item around its node, clockwise or
+    counterclockwise as asked, is another plain half-edge rather than a bud.
+    """
+    step = -1 if clockwise else 1
+    items, slots = tree.items, tree._slots
+    links: list[list[tuple[int, bool, bool]]] = [[] for _ in items]
+    for e, (v1, v2) in tree._ends.items():
+        seq1, seq2 = items[v1], items[v2]
+        good1 = seq1[(slots[e, v1] + step) % len(seq1)] != BUD
+        good2 = seq2[(slots[e, v2] + step) % len(seq2)] != BUD
+        links[v1].append((v2, good1, good2))
+        links[v2].append((v1, good2, good1))
+    return links
 
 
 def _scan_paths(tree: BlossomingTree, clockwise: bool) -> list[tuple[int, ...]]:
-    succ = tree.succ_cw if clockwise else tree.succ_ccw
+    """Paths u < w whose half-edges at both ends are good, by u then w.
+
+    From each u one depth-first walk enters only through u's good
+    half-edges; a node w > u it reaches through a good half-edge ends a path.
+    """
+    links = _good_links(tree, clockwise)
+    parent = [0] * len(links)
     found = []
-    nodes = range(tree.n + 1)
-    for u in nodes:
-        parent_edge, first_edge = _path_endpoint_data(tree, u)
-        u_ok = {
-            e: succ(u, tree.slot(e, u)) != BUD
-            for e, _ in tree.neighbors(u)
-        }
-        for w in nodes:
-            if w <= u:
-                continue
-            e_last = parent_edge[w]
-            if not u_ok[first_edge[w]]:
-                continue
-            if succ(w, tree.slot(e_last, w)) == BUD:
-                continue
+    for u, out in enumerate(links):
+        targets = []
+        stack = []
+        for w, good_u, good_w in out:
+            if good_u:
+                parent[w] = u
+                stack.append((w, u, good_w))
+        while stack:
+            x, p, good_x = stack.pop()
+            if good_x and x > u:
+                targets.append(x)
+            for y, _, good_y in links[x]:
+                if y != p:
+                    parent[y] = x
+                    stack.append((y, x, good_y))
+        targets.sort()
+        for w in targets:
             path = [w]
-            cur = w
-            while cur != u:
-                e = parent_edge[cur]
-                cur = tree.across(e, cur)
-                path.append(cur)
+            while w != u:
+                w = parent[w]
+                path.append(w)
             found.append(tuple(reversed(path)))
     return found
+
+
+def _facing_good_half_edges(tree: BlossomingTree, clockwise: bool) -> bool:
+    """True when ``_scan_paths(tree, clockwise)`` is non-empty, in linear time.
+
+    For an edge from u to x, B(u -> x) says that some node y on x's side
+    ends the path from u with a good half-edge: the half-edge at x is good,
+    or B(x -> z) for a neighbor z != u.  Rerooting from node 0 computes B
+    on every directed edge, downward first and then upward, with a count of
+    the true B(x -> .) per node; a path exists when some B(u -> x) holds
+    through a half-edge good at u.
+    """
+    links = _good_links(tree, clockwise)
+    # (node, parent, good at node, good at parent) of each parent edge
+    order = [(0, -1, False, False)]
+    for x, p, _, _ in order:
+        order.extend((y, x, good_y, good_x) for y, good_x, good_y in links[x] if y != p)
+    down = [False] * len(links)  # down[x]: B(parent -> x)
+    true_out = [0] * len(links)
+    for x, p, good_x, good_p in reversed(order[1:]):
+        if good_x or true_out[x]:
+            if good_p:
+                return True
+            down[x] = True
+            true_out[p] += 1
+    for x, p, good_x, good_p in order[1:]:
+        # true_out[p] already counts B(p -> parent of p)
+        if good_p or true_out[p] > down[x]:
+            if good_x:
+                return True
+            true_out[x] += 1
+    return False
 
 
 def non_modern_paths(tree: BlossomingTree) -> list[tuple[int, ...]]:

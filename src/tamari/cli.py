@@ -323,3 +323,7 @@ def run(argv: list[str], out=None) -> int:
 
 def main() -> None:
     raise SystemExit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

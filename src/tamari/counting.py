@@ -15,11 +15,10 @@ from enum import Enum
 from math import comb
 
 from .blossoming import (
+    _facing_good_half_edges,
     from_interval,
     is_synchronized_tree,
-    non_kreweras_paths,
     non_modern_edges,
-    non_modern_paths,
 )
 from .errors import OracleDisagreement, UnsupportedSize
 from .intervals import (
@@ -340,12 +339,14 @@ FAMILY_PREDICATES = {
 }
 
 # The transfer lemmas: each family's forbidden-pattern classifier on the
-# blossoming tree agrees with its predicate in FAMILY_PREDICATES.
+# blossoming tree agrees with its predicate in FAMILY_PREDICATES.  The two
+# path patterns are tested for emptiness in one linear pass; the path
+# enumerators non_modern_paths and non_kreweras_paths are its oracles.
 PATTERN_CLASSIFIERS = {
     Family.SYNCHRONIZED: is_synchronized_tree,
     Family.MODERN: lambda tree: not non_modern_edges(tree),
-    Family.INFINITELY_MODERN: lambda tree: not non_modern_paths(tree),
-    Family.KREWERAS: lambda tree: not non_kreweras_paths(tree),
+    Family.INFINITELY_MODERN: lambda tree: not _facing_good_half_edges(tree, True),
+    Family.KREWERAS: lambda tree: not _facing_good_half_edges(tree, False),
 }
 
 

@@ -91,6 +91,15 @@ class MeanderingDiagram:
         return f"<MeanderingDiagram up={list(self.up)} lo={list(self.lo)}>"
 
 
+def _trusted_diagram(up: tuple[int, ...], lo: tuple[int, ...]) -> MeanderingDiagram:
+    """Build a diagram from arc tuples the caller knows to be in range and
+    nested."""
+    m = object.__new__(MeanderingDiagram)
+    object.__setattr__(m, "up", up)
+    object.__setattr__(m, "lo", lo)
+    return m
+
+
 def diagram_to_json(m: MeanderingDiagram) -> str:
     return json.dumps(
         {"n": m.n, "up": list(m.up), "lo": list(m.lo)}, separators=(",", ":")
@@ -127,16 +136,16 @@ def from_tree_pair(lower: BinaryTree, upper: BinaryTree) -> MeanderingDiagram:
     White point t gets the lower arc to t + a_t (bracket vector of the lower
     tree) and the upper arc to t - 1 - b_t (dual bracket vector of the upper
     tree).  Bijective onto meandering diagrams; intervals land on trees.
+    The bracket vectors of binary trees always nest, so the diagram needs
+    no check of its own.
     """
     if lower.size != upper.size:
         raise SizeMismatch(f"sizes {lower.size} and {upper.size} differ")
     if lower.size < 1:
         raise UnsupportedSize("diagram drawings need size >= 1")
-    a = bracket_vector(lower)
-    b = dual_bracket_vector(upper)
-    lo = tuple(t + a[t - 1] for t in range(1, lower.size + 1))
-    up = tuple(t - 1 - b[t - 1] for t in range(1, lower.size + 1))
-    return MeanderingDiagram(up, lo)
+    lo = tuple(t + a for t, a in enumerate(bracket_vector(lower), 1))
+    up = tuple(t - 1 - b for t, b in enumerate(dual_bracket_vector(upper), 1))
+    return _trusted_diagram(up, lo)
 
 
 def to_tree_pair(m: MeanderingDiagram) -> tuple[BinaryTree, BinaryTree]:

@@ -123,17 +123,30 @@ def _check_diagram_trees_match_intervals(max_n: int):
     return checked, f"{checked} tree pairs checked"
 
 
+# The path enumerators whose emptiness the linear pattern classifiers of
+# these families decide; the other two classifiers test their pattern list
+# for emptiness directly.
+_PATH_ENUMERATORS = {
+    counting.Family.INFINITELY_MODERN: blossoming.non_modern_paths,
+    counting.Family.KREWERAS: blossoming.non_kreweras_paths,
+}
+
+
 def _transfer_check(family: counting.Family) -> None:
     direct = counting.FAMILY_PREDICATES[family]
     pattern = counting.PATTERN_CLASSIFIERS[family]
+    enumerator = _PATH_ENUMERATORS.get(family)
 
     @_check(f"transfer-{family.value}")
     def check(max_n: int):
         checked = 0
         for n in _sizes(max_n):
             for interval, tree in _images(n):
-                if direct(interval) != pattern(tree):
+                member = pattern(tree)
+                if direct(interval) != member:
                     raise _Failed(f"{family.value} transfer fails on {interval!r}")
+                if enumerator is not None and member == bool(enumerator(tree)):
+                    raise _Failed(f"{family.value} pattern pass fails on {interval!r}")
                 checked += 1
         return checked, f"{checked} intervals agree"
 

@@ -72,6 +72,15 @@ def test_unfold_path_example():
     assert [bi_degree(b, v) for v in range(3)] == [(1, 0), (1, 1), (0, 1)]
 
 
+def test_unfolding_indexes_like_the_validating_constructor():
+    for n in range(1, 7):
+        for _, tree in images(n):
+            checked = BlossomingTree(tree.items)
+            assert tree._slots == checked._slots
+            assert list(tree._ends.items()) == list(checked._ends.items())
+            assert tree._adj == checked._adj
+
+
 def test_validation_rejects_bad_structures():
     # three buds at a node
     with pytest.raises(InvalidBlossoming):

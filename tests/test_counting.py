@@ -1,6 +1,9 @@
 import pytest
 
+from tamari.blossoming import from_interval, reflect_interval
 from tamari.counting import (
+    FAMILY_PREDICATES,
+    PATTERN_CLASSIFIERS,
     Family,
     count,
     count_by_canopy_matches,
@@ -11,6 +14,8 @@ from tamari.counting import (
     trivariate_coefficients,
 )
 from tamari.errors import UnsupportedSize
+from tamari.intervals import is_infinitely_modern, is_kreweras, make_interval
+from tamari.sampler import RandomSource, sample_interval
 
 EXPECTED_GENERAL = [1, 3, 13, 68, 399, 2530, 16965, 118668]
 
@@ -166,3 +171,17 @@ def test_tally_n6_kreweras():
     result = tally(6)
     assert result.families[Family.KREWERAS] == 1428
     assert result.families[Family.INFINITELY_MODERN] == 1428
+
+
+def test_both_classifier_stacks_agree_at_sampler_scale():
+    rng = RandomSource(31)
+    cases = [sample_interval(n, rng) for n in (1_000, 1_000, 10_000)]
+    tree = cases[-1].lower
+    trivial = make_interval(tree, tree)
+    cases += [trivial, reflect_interval(trivial)]
+    # members as well as non-members: a drawn interval is rarely in a family
+    assert is_kreweras(cases[-2]) and is_infinitely_modern(cases[-1])
+    for interval in cases:
+        blossoming = from_interval(interval)
+        for family, on_tree in PATTERN_CLASSIFIERS.items():
+            assert on_tree(blossoming) == FAMILY_PREDICATES[family](interval), family

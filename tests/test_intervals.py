@@ -75,6 +75,14 @@ def test_enumerate_intervals_cap():
         enumerate_intervals(0)
 
 
+def test_enumeration_by_dominance_equals_the_pair_filter():
+    # the filter over all pairs of trees is the definition, in the same order
+    for n in range(1, 8):
+        trees = enumerate_binary_trees(n)
+        expected = [(low, up) for low in trees for up in trees if tamari_leq(low, up)]
+        assert [(i.lower, i.upper) for i in enumerate_intervals(n)] == expected
+
+
 # -------------------------------------------------------------------- duality
 
 

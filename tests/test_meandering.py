@@ -118,6 +118,13 @@ def test_from_tree_pair_examples():
         from_tree_pair(T_A, tree_from_dyck("UD"))
 
 
+def test_from_tree_pair_equals_the_validated_diagram():
+    for n in range(1, 7):
+        for low, up in all_pairs(n):
+            m = from_tree_pair(low, up)
+            assert m == MeanderingDiagram(m.up, m.lo)
+
+
 def test_to_tree_pair_inverts():
     assert to_tree_pair(MeanderingDiagram((0, 1), (1, 2))) == (T_B, T_A)
     for n in range(1, 8):

@@ -1,6 +1,7 @@
 """Guards for deletions: every export names something that exists, and
 every demo still runs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -43,11 +44,30 @@ def test_package_exports_are_module_exports():
     assert sorted(public - exported) == []
 
 
+def _source_env():
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+@pytest.mark.parametrize("module", ["tamari", "tamari.cli"])
+def test_python_m_runs_the_command_line(module, tmp_path):
+    def python_m(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            cwd=tmp_path, env=_source_env(), capture_output=True, text=True,
+        )
+
+    done = python_m("count", "--n", "3")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "13\n", "")
+    done = python_m("verify", "--max-n", "9")
+    assert (done.returncode, done.stdout) == (1, "")
+    [line] = done.stderr.splitlines()
+    assert json.loads(line)["error"] == "UnsupportedSize"
+
+
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, str(demo)], cwd=tmp_path, env=_source_env(), capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
