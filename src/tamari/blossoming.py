@@ -32,6 +32,7 @@ from .errors import (
 from .intervals import TYPE_00, TYPE_10, TYPE_11, TamariInterval, make_interval
 from .meandering import (
     MeanderingDiagram,
+    _union,
     diagram_to_json,
     from_tree_pair,
     is_meandering_tree,
@@ -73,11 +74,13 @@ class BlossomingTree:
     """A validated bicolored blossoming tree.
 
     ``items[v]`` is the counterclockwise cyclic sequence of items around
-    node v.  Node and edge identifiers carry no meaning beyond this object;
+    node v, and ``_ends[e]`` is (v1, slot at v1, v2, slot at v2) for each
+    edge e, edges in order of first appearance along the item sequences.
+    Node and edge identifiers carry no meaning beyond this object;
     equality and hashing go through the canonical encoding.
     """
 
-    __slots__ = ("items", "n", "_slots", "_ends", "_adj", "_canon")
+    __slots__ = ("items", "n", "_ends", "_canon")
 
     def __init__(self, items: Iterable[Iterable]):
         items = tuple(tuple(seq) for seq in items)
@@ -104,85 +107,57 @@ class BlossomingTree:
                 colors.append(seen)
             if colors[0] and colors[0] == colors[1]:
                 raise InvalidBlossoming(f"buds of node {v} do not separate the colors")
-        ends = _half_edges(items)
+        ends = _edge_table(items)
         if len(ends) != len(items) - 1:
             raise InvalidBlossoming(
                 f"{len(ends)} edges on {len(items)} nodes cannot form a tree"
             )
         parent = list(range(len(items)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for e, sides in ends.items():
-            if len(sides) != 2:
-                raise InvalidBlossoming(f"edge {e} has {len(sides)} half-edges")
-            (v1, _, c1), (v2, _, c2) = sides
-            if c1 == c2:
+            if len(sides) != 4:
+                raise InvalidBlossoming(f"edge {e} has {len(sides) // 2} half-edges")
+            v1, s1, v2, s2 = sides
+            if items[v1][s1][1] == items[v2][s2][1]:
                 raise InvalidBlossoming(f"edge {e} is monochromatic")
-            ru, rv = find(v1), find(v2)
-            if ru == rv:
+            if not _union(parent, v1, v2):
                 raise InvalidBlossoming("the plain edges contain a cycle")
-            parent[ru] = rv
-        self._index(items, ends)
+        self._set(items, ends)
 
     @classmethod
     def _trusted(cls, items: tuple[tuple, ...]) -> BlossomingTree:
         """Index items the caller knows to form a valid blossoming tree."""
         tree = object.__new__(cls)
-        tree._index(items, _half_edges(items))
+        tree._set(items, _edge_table(items))
         return tree
 
-    def _index(self, items: tuple[tuple, ...], ends: dict) -> None:
-        """Set the fields from the items and their half-edges: ``_ends``
-        and ``_adj`` list the edges in order of first appearance."""
-        slots = {}
-        endpoints = {}
-        adj: list[list[tuple[int, int]]] = [[] for _ in items]
-        for e, ((v1, s1, _), (v2, s2, _)) in ends.items():
-            slots[e, v1] = s1
-            slots[e, v2] = s2
-            endpoints[e] = (v1, v2)
-            adj[v1].append((e, v2))
-            adj[v2].append((e, v1))
+    def _set(self, items: tuple[tuple, ...], ends: dict) -> None:
         self.items = items
         self.n = len(items) - 1
-        self._slots = slots
-        self._ends = endpoints
-        self._adj = tuple(tuple(a) for a in adj)
+        self._ends = ends
         self._canon = None
 
     # -- plane-structure accessors ------------------------------------------
 
     def slot(self, edge: int, v: int) -> int:
         """Position of the half of ``edge`` in the cyclic sequence of v."""
-        return self._slots[edge, v]
+        v1, s1, _, s2 = self._ends[edge]
+        return s1 if v == v1 else s2
 
     def edge_ends(self, edge: int) -> tuple[int, int]:
-        return self._ends[edge]
+        return self._ends[edge][::2]
 
     def across(self, edge: int, v: int) -> int:
         """The endpoint of ``edge`` other than v."""
-        v1, v2 = self._ends[edge]
+        v1, _, v2, _ = self._ends[edge]
         return v2 if v == v1 else v1
 
     def half_color(self, edge: int, v: int) -> str:
-        return self.items[v][self._slots[edge, v]][1]
+        return self.items[v][self.slot(edge, v)][1]
 
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
-        """Pairs (edge, other node) incident to v."""
-        return self._adj[v]
-
-    def succ_ccw(self, v: int, slot: int):
-        seq = self.items[v]
-        return seq[(slot + 1) % len(seq)]
-
-    def succ_cw(self, v: int, slot: int):
-        seq = self.items[v]
-        return seq[(slot - 1) % len(seq)]
+        """Pairs (edge, other node) incident to v, in the cyclic order of
+        ``items[v]``."""
+        return tuple((it[0], self.across(it[0], v)) for it in self.items[v] if it != BUD)
 
     # -- equality through the canonical encoding ----------------------------
 
@@ -203,14 +178,15 @@ class BlossomingTree:
         return f"<BlossomingTree of size {self.n}>"
 
 
-def _half_edges(items: tuple[tuple, ...]) -> dict:
-    """Edge id to its half-edges (node, slot, color), edges in order of
-    first appearance along the nodes' item sequences."""
+def _edge_table(items: tuple[tuple, ...]) -> dict:
+    """Edge id to the flat tuple (node, slot, node, slot) of its half-edges,
+    edges in order of first appearance along the nodes' item sequences; an
+    edge of a valid tree has exactly two half-edges."""
     ends: dict = {}
     for v, seq in enumerate(items):
         for slot, it in enumerate(seq):
             if it != BUD:
-                ends.setdefault(it[0], []).append((v, slot, it[1]))
+                ends[it[0]] = ends.get(it[0], ()) + (v, slot)
     return ends
 
 
@@ -264,7 +240,7 @@ def closure(tree: BlossomingTree) -> tuple:
     midpoints, returned from the smaller dangling node: node ids at even
     positions, edge ids at odd positions.
     """
-    items = tree.items
+    items, ends = tree.items, tree._ends
     contour = []  # (is_bud, node id or edge id)
     height = lowest = start = 0
     v, slot = 0, len(items[0]) - 1
@@ -278,8 +254,8 @@ def closure(tree: BlossomingTree) -> tuple:
         else:
             e = item[0]
             contour.append((False, e))
-            v = tree.across(e, v)
-            slot = tree.slot(e, v)
+            v1, s1, v2, s2 = ends[e]
+            v, slot = (v2, s2) if v == v1 else (v1, s1)
             height -= 1
             if height < lowest:
                 lowest, start = height, i
@@ -418,14 +394,12 @@ def non_modern_edges(tree: BlossomingTree) -> list[int]:
 
     Emptiness characterizes the image of modern intervals.
     """
-    out = []
-    for e, (v1, v2) in tree._ends.items():
-        if tree.succ_cw(v1, tree.slot(e, v1)) == BUD:
-            continue
-        if tree.succ_cw(v2, tree.slot(e, v2)) == BUD:
-            continue
-        out.append(e)
-    return out
+    items = tree.items
+    return [
+        e
+        for e, (v1, s1, v2, s2) in tree._ends.items()
+        if items[v1][s1 - 1] != BUD and items[v2][s2 - 1] != BUD
+    ]
 
 
 def _good_links(tree: BlossomingTree, clockwise: bool) -> list[list[tuple[int, bool, bool]]]:
@@ -435,12 +409,12 @@ def _good_links(tree: BlossomingTree, clockwise: bool) -> list[list[tuple[int, b
     counterclockwise as asked, is another plain half-edge rather than a bud.
     """
     step = -1 if clockwise else 1
-    items, slots = tree.items, tree._slots
+    items = tree.items
     links: list[list[tuple[int, bool, bool]]] = [[] for _ in items]
-    for e, (v1, v2) in tree._ends.items():
+    for v1, s1, v2, s2 in tree._ends.values():
         seq1, seq2 = items[v1], items[v2]
-        good1 = seq1[(slots[e, v1] + step) % len(seq1)] != BUD
-        good2 = seq2[(slots[e, v2] + step) % len(seq2)] != BUD
+        good1 = seq1[(s1 + step) % len(seq1)] != BUD
+        good2 = seq2[(s2 + step) % len(seq2)] != BUD
         links[v1].append((v2, good1, good2))
         links[v2].append((v1, good2, good1))
     return links

@@ -121,6 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_count(args, out) -> int:
     if args.k is not None:
+        if args.family is not Family.GENERAL or args.self_dual:
+            raise TamariError("--k counts all intervals; it takes no --family or --self-dual")
         value = count_by_canopy_matches(args.n, args.k)
     elif args.self_dual:
         value = count_self_dual(args.family, args.n)

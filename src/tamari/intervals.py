@@ -63,7 +63,7 @@ __all__ = [
     "smooth_flawed_pairs",
 ]
 
-#: Default cap on exhaustive interval enumeration.
+#: Cap on exhaustive interval enumeration.
 MAX_INTERVAL_ENUMERATION_SIZE = 9
 
 #: Joint canopy types: upper-tree bit over lower-tree bit.
@@ -112,7 +112,7 @@ def _trusted_interval(lower: BinaryTree, upper: BinaryTree) -> TamariInterval:
     return interval
 
 
-def enumerate_intervals(n: int, max_size: int | None = None) -> list[TamariInterval]:
+def enumerate_intervals(n: int) -> list[TamariInterval]:
     """All Tamari intervals of size n, deterministically ordered.
 
     Ordered by the index of the lower tree in ``enumerate_binary_trees``,
@@ -123,9 +123,10 @@ def enumerate_intervals(n: int, max_size: int | None = None) -> list[TamariInter
     """
     if n < 1:
         raise UnsupportedSize("intervals have size >= 1")
-    cap = MAX_INTERVAL_ENUMERATION_SIZE if max_size is None else max_size
-    if n > cap:
-        raise UnsupportedSize(f"size {n} exceeds the enumeration cap {cap}")
+    if n > MAX_INTERVAL_ENUMERATION_SIZE:
+        raise UnsupportedSize(
+            f"size {n} exceeds the enumeration cap {MAX_INTERVAL_ENUMERATION_SIZE}"
+        )
     trees = enumerate_binary_trees(n)
     vectors = [bracket_vector(t) for t in trees]
     # a trie of dicts keyed by entry; under a vector's last entry, its index

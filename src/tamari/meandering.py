@@ -172,21 +172,26 @@ def underlying_edges(m: MeanderingDiagram) -> list[tuple[int, int]]:
 def is_meandering_tree(m: MeanderingDiagram) -> bool:
     """True when the underlying graph on the black points is a tree."""
     parent = list(range(m.n + 1))
+    # n edges on n + 1 points with no cycle leave exactly one component
+    return all(_union(parent, u, v) for u, v in underlying_edges(m))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    components = m.n + 1
-    for u, v in underlying_edges(m):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-        components -= 1
-    return components == 1
+def _union(parent: list[int], u: int, v: int) -> bool:
+    """Join the classes of u and v in the union-find forest ``parent``.
+
+    Returns False, joining nothing, when u and v are in one class already,
+    that is when the edge uv closes a cycle.
+    """
+    while parent[u] != u:
+        parent[u] = parent[parent[u]]
+        u = parent[u]
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    if u == v:
+        return False
+    parent[u] = v
+    return True
 
 
 # ------------------------------------------------------------- arc patterns

@@ -45,7 +45,7 @@ def _images(n: int) -> tuple:
     """Every interval of size n paired with its blossoming tree."""
     return tuple(
         (i, blossoming.from_interval(i))
-        for i in intervals.enumerate_intervals(n, max_size=n)
+        for i in intervals.enumerate_intervals(n)
     )
 
 
@@ -75,7 +75,7 @@ def _sizes(max_n: int, cap: int | None = None) -> range:
 def _check_interval_counts(max_n: int):
     total = 0
     for n in _sizes(max_n):
-        observed = len(intervals.enumerate_intervals(n, max_size=n))
+        observed = len(intervals.enumerate_intervals(n))
         if observed != counting.count(counting.Family.GENERAL, n):
             raise _Failed(f"count mismatch at n = {n}")
         total += observed

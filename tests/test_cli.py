@@ -169,6 +169,8 @@ def test_error_paths():
         ["sample", "--size", "4", "--count", "-1"],
         ["verify", "--max-n", "0"],
         ["verify", "--max-n", "9"],
+        ["count", "--n", "3", "--k", "0", "--family", "kreweras", "--json"],
+        ["count", "--n", "3", "--k", "0", "--self-dual", "--json"],
     ],
 )
 def test_bad_input_gives_one_json_error_line(argv, capsys):
