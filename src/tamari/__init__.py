@@ -10,7 +10,6 @@ and an exact uniform random sampler driven by the cycle lemma.
 """
 
 from .errors import (
-    ClosureOrientationError,
     CycleLemmaViolation,
     InvalidBlossoming,
     InvalidBracketVector,

@@ -23,15 +23,11 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import (
-    ClosureOrientationError,
-    InvalidBlossoming,
-    InvalidDiagram,
-    NotATree,
-)
+from .errors import InvalidBlossoming, NotATree
 from .intervals import TYPE_00, TYPE_10, TYPE_11, TamariInterval, make_interval
 from .meandering import (
     MeanderingDiagram,
+    _trusted_diagram,
     _union,
     diagram_to_json,
     from_tree_pair,
@@ -80,7 +76,7 @@ class BlossomingTree:
     equality and hashing go through the canonical encoding.
     """
 
-    __slots__ = ("items", "n", "_ends", "_canon")
+    __slots__ = ("items", "n", "_ends", "_canon", "_facing")
 
     def __init__(self, items: Iterable[Iterable]):
         items = tuple(tuple(seq) for seq in items)
@@ -135,6 +131,7 @@ class BlossomingTree:
         self.n = len(items) - 1
         self._ends = ends
         self._canon = None
+        self._facing = None
 
     # -- plane-structure accessors ------------------------------------------
 
@@ -296,7 +293,9 @@ def to_meandering(tree: BlossomingTree) -> MeanderingDiagram:
 
     Blue half-edges go above the axis to the black point left of their white
     point, red ones below to the right.  So black point 0 is the blue end of
-    white point 1, which fixes the orientation of the path.
+    white point 1, which fixes the orientation of the path.  The closure of
+    a blossoming tree stretches to a meandering tree, so the diagram is
+    built without a second check.
     """
     path = closure(tree)
     if tree.half_color(path[1], path[0]) != BLUE:
@@ -307,17 +306,14 @@ def to_meandering(tree: BlossomingTree) -> MeanderingDiagram:
         pos[path[2 * k]] = k
     up = [0] * n
     lo = [0] * n
+    items, ends = tree.items, tree._ends
     for t in range(1, n + 1):
-        e = path[2 * t - 1]
-        blue, red = tree.edge_ends(e)
-        if tree.half_color(e, blue) != BLUE:
-            blue, red = red, blue
-        up[t - 1] = pos[blue]
-        lo[t - 1] = pos[red]
-    try:
-        return MeanderingDiagram(tuple(up), tuple(lo))
-    except InvalidDiagram as exc:
-        raise ClosureOrientationError(f"the stretched path is not a valid diagram: {exc}") from exc
+        v1, s1, v2, _ = ends[path[2 * t - 1]]
+        if items[v1][s1][1] == BLUE:
+            up[t - 1], lo[t - 1] = pos[v1], pos[v2]
+        else:
+            up[t - 1], lo[t - 1] = pos[v2], pos[v1]
+    return _trusted_diagram(tuple(up), tuple(lo))
 
 
 # -------------------------------------------------------------- the bijection
@@ -402,22 +398,30 @@ def non_modern_edges(tree: BlossomingTree) -> list[int]:
     ]
 
 
-def _good_links(tree: BlossomingTree, clockwise: bool) -> list[list[tuple[int, bool, bool]]]:
-    """Per node v, one entry (w, good at v, good at w) per edge vw.
+_Links = list[list[tuple[int, bool, bool]]]
 
-    A half-edge is good when the next item around its node, clockwise or
-    counterclockwise as asked, is another plain half-edge rather than a bud.
+
+def _good_links(tree: BlossomingTree) -> tuple[_Links, _Links]:
+    """Counterclockwise and clockwise links, from one pass over the edges.
+
+    Per node v, the links of one direction hold one entry (w, good at v,
+    good at w) per edge vw.  A half-edge is good when the next item around
+    its node in that direction is another plain half-edge rather than a bud.
     """
-    step = -1 if clockwise else 1
     items = tree.items
-    links: list[list[tuple[int, bool, bool]]] = [[] for _ in items]
+    ccw: _Links = [[] for _ in items]
+    cw: _Links = [[] for _ in items]
     for v1, s1, v2, s2 in tree._ends.values():
         seq1, seq2 = items[v1], items[v2]
-        good1 = seq1[(s1 + step) % len(seq1)] != BUD
-        good2 = seq2[(s2 + step) % len(seq2)] != BUD
-        links[v1].append((v2, good1, good2))
-        links[v2].append((v1, good2, good1))
-    return links
+        ccw1 = seq1[(s1 + 1) % len(seq1)] != BUD
+        ccw2 = seq2[(s2 + 1) % len(seq2)] != BUD
+        cw1 = seq1[s1 - 1] != BUD
+        cw2 = seq2[s2 - 1] != BUD
+        ccw[v1].append((v2, ccw1, ccw2))
+        ccw[v2].append((v1, ccw2, ccw1))
+        cw[v1].append((v2, cw1, cw2))
+        cw[v2].append((v1, cw2, cw1))
+    return ccw, cw
 
 
 def _scan_paths(tree: BlossomingTree, clockwise: bool) -> list[tuple[int, ...]]:
@@ -426,7 +430,7 @@ def _scan_paths(tree: BlossomingTree, clockwise: bool) -> list[tuple[int, ...]]:
     From each u one depth-first walk enters only through u's good
     half-edges; a node w > u it reaches through a good half-edge ends a path.
     """
-    links = _good_links(tree, clockwise)
+    links = _good_links(tree)[clockwise]
     parent = [0] * len(links)
     found = []
     for u, out in enumerate(links):
@@ -462,9 +466,16 @@ def _facing_good_half_edges(tree: BlossomingTree, clockwise: bool) -> bool:
     or B(x -> z) for a neighbor z != u.  Rerooting from node 0 computes B
     on every directed edge, downward first and then upward, with a count of
     the true B(x -> .) per node; a path exists when some B(u -> x) holds
-    through a half-edge good at u.
+    through a half-edge good at u.  The first call decides both directions
+    from one build of the links and keeps the two answers on the tree.
     """
-    links = _good_links(tree, clockwise)
+    if tree._facing is None:
+        tree._facing = tuple(map(_facing_in, _good_links(tree)))
+    return tree._facing[clockwise]
+
+
+def _facing_in(links: _Links) -> bool:
+    """The rerooting pass of ``_facing_good_half_edges`` on one direction."""
     # (node, parent, good at node, good at parent) of each parent edge
     order = [(0, -1, False, False)]
     for x, p, _, _ in order:

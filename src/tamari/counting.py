@@ -239,6 +239,8 @@ MAX_SERIES_DEGREE = 9
 
 
 def _check_degree(max_degree: int) -> None:
+    if max_degree < 0:
+        raise UnsupportedSize(f"degree {max_degree} is negative")
     if max_degree > MAX_SERIES_DEGREE:
         raise UnsupportedSize(
             f"degree {max_degree} exceeds the cap {MAX_SERIES_DEGREE}"

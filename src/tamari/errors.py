@@ -41,13 +41,6 @@ class InvalidBlossoming(TamariError):
     """A plane tree violates the bicolored blossoming-tree invariants."""
 
 
-class ClosureOrientationError(TamariError):
-    """The stretched path is not a valid diagram.
-
-    Unreachable for structurally valid blossoming trees; kept as a guard.
-    """
-
-
 class InvalidDecomposition(TamariError):
     """Arguments to compose() do not describe a meandering tree."""
 

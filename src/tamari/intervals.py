@@ -1,11 +1,16 @@
 """Validated Tamari intervals, duality, rise/derise, and family classifiers.
 
-The classifiers here work straight from the definitions (canopy equality,
-validity of iterated rises, non-crossing-partition refinement, arc geometry
-of the smooth drawing).  Module ``blossoming`` provides an independent set
-of classifiers through forbidden patterns on blossoming trees; the
-``transfer-*`` checks of ``tamari verify`` hold the two sides to exact
-agreement.
+Each family is defined on the interval itself: equal canopies, a rise (or
+derise) that stays an interval, no separated arcs in the smooth drawing,
+refining right-branch partitions.  Each definition is a linear condition on
+the bracket and dual bracket vectors of the two trees, which every
+``BinaryTree`` computes once and keeps, so every classifier here is one
+scan over those vectors and builds no tree.  The definitions themselves
+(``rise``, ``derise``, ``gaps``, ``iota``, ``refines``) stay public and are
+the classifiers' oracles in the tests.  Module ``blossoming`` provides an
+independent set of classifiers through forbidden patterns on blossoming
+trees; the ``transfer-*`` checks of ``tamari verify`` hold the two sides to
+exact agreement.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from .trees import (
     LEAF,
     BinaryTree,
     bracket_vector,
-    canopy,
     degree_vector,
     dual_bracket_vector,
     dual_degree_vector,
@@ -72,7 +76,7 @@ TYPE_00 = "00"
 TYPE_10 = "10"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TamariInterval:
     """An ordered pair lower <= upper of equal-size binary trees.
 
@@ -199,10 +203,14 @@ def canopy_type_counts(interval: TamariInterval) -> tuple[int, int, int]:
     """Counts (i, j, m) of joint canopy entries of types 11, 00 and 10.
 
     The joint canopy pairs the upper tree's canopy bit over the lower
-    tree's at each position; upper 0 over lower 1 never occurs.
+    tree's at each position; upper 0 over lower 1 never occurs, since a
+    lower bracket entry never exceeds the upper one.  Position 0 is of type
+    11 and position k >= 1 carries bit ``bracket_vector[k - 1] > 0`` (see
+    ``canopy``), so the zero entries of the two vectors give all three.
     """
-    joint = list(zip(canopy(interval.upper), canopy(interval.lower)))
-    return joint.count((1, 1)), joint.count((0, 0)), joint.count((1, 0))
+    low_zeros = bracket_vector(interval.lower).count(0)
+    up_zeros = bracket_vector(interval.upper).count(0)
+    return interval.n + 1 - low_zeros, up_zeros, low_zeros - up_zeros
 
 
 def bi_length_vector(interval: TamariInterval) -> tuple[tuple[int, int], ...]:
@@ -260,11 +268,23 @@ def is_trivial(interval: TamariInterval) -> bool:
 
 
 def is_synchronized(interval: TamariInterval) -> bool:
-    return canopy(interval.lower) == canopy(interval.upper)
+    """True when both trees have the same canopy.
+
+    The lower canopy's 1s are among the upper one's (see
+    ``canopy_type_counts``), so the canopies agree exactly when the two
+    bracket vectors have equally many zero entries.
+    """
+    return bracket_vector(interval.lower).count(0) == bracket_vector(interval.upper).count(0)
 
 
 def is_modern(interval: TamariInterval) -> bool:
-    return tamari_leq(*rise(interval))
+    """True when the rise stays an interval.
+
+    The rise's bracket vectors are bv(L) + (0,) below and (n,) + bv(U)
+    above, so domination comes down to bv(L)[i] <= bv(U)[i - 1], i = 2..n.
+    """
+    low = bracket_vector(interval.lower)
+    return all(x <= y for x, y in zip(low[1:], bracket_vector(interval.upper)))
 
 
 def is_k_modern(interval: TamariInterval, k: int) -> bool:
@@ -283,10 +303,11 @@ def is_infinitely_modern(interval: TamariInterval) -> bool:
     """True when every iterated rise stays an interval.
 
     Tested through the separated-pair characterization: no upper arc ends
-    left of where a lower arc starts, that is, ``gaps`` is empty.
+    left of where a lower arc starts, that is, ``gaps`` is empty.  The arc
+    of node i spans (i - 1 - b_i, i + a_i) (see ``smooth_arcs``).
     """
-    upper_end = min(right for _, right in smooth_arcs(interval.upper))
-    lower_start = max(left for left, _ in smooth_arcs(interval.lower))
+    upper_end = min(i + a for i, a in enumerate(bracket_vector(interval.upper), 1))
+    lower_start = max(i - 1 - b for i, b in enumerate(dual_bracket_vector(interval.lower), 1))
     return upper_end >= lower_start
 
 
@@ -301,15 +322,21 @@ def is_kreweras(interval: TamariInterval) -> bool:
 
 
 def is_new(interval: TamariInterval) -> bool:
-    """True when the interval is the rise of a (necessarily modern) interval."""
-    if interval.n == 1:
-        # the unique size-1 interval is the rise of the empty interval
-        return True
-    try:
-        inner = derise(interval)
-    except NotDerisable:
-        return False
-    return is_modern(inner)
+    """True when the interval is the rise of a (necessarily modern) interval.
+
+    The lower root must be node n (b_n = n - 1) and the upper root node 1
+    (a'_1 = n - 1); the inner pair then has bracket vectors bv(L)[:-1] and
+    bv(U)[1:] and must be an interval.  It is modern because the outer pair
+    is an interval.  The unique size-1 interval, the rise of the empty one,
+    passes all three tests.
+    """
+    n = interval.n
+    up = bracket_vector(interval.upper)
+    return (
+        dual_bracket_vector(interval.lower)[-1] == n - 1
+        and up[0] == n - 1
+        and all(x <= y for x, y in zip(bracket_vector(interval.lower), up[1:]))
+    )
 
 
 # ------------------------------------------------------ non-crossing partitions
@@ -361,19 +388,18 @@ class NonCrossingPartition:
 
 def _branch_tops(t: BinaryTree) -> list[int]:
     """Entry x (x = 1..n, infix labels): the top node of the maximal right
-    branch through node x, its smallest label.  Entry 0 is 0."""
+    branch through node x, its smallest label.  Entry 0 is 0.
+
+    Node x spans the nodes x - b_x .. x + a_x.  It is the right child of
+    p = x - 1 - b_x exactly when p >= 1 and p's span ends where x's does,
+    p + a_p = x + a_x; otherwise it tops its branch.
+    """
+    a = bracket_vector(t)
+    b = dual_bracket_vector(t)
     tops = [0] * (t.size + 1)
-    # (subtree, smallest label inside, top of the branch its root is on)
-    stack: list[tuple[BinaryTree, int, int]] = [(t, 1, 0)]
-    while stack:
-        sub, lo, top = stack.pop()
-        if sub.left is None:
-            continue
-        label = lo + sub.left.size
-        top = top or label
-        tops[label] = top
-        stack.append((sub.left, lo, 0))
-        stack.append((sub.right, label + 1, top))
+    for x in range(1, t.size + 1):
+        p = x - 1 - b[x - 1]
+        tops[x] = tops[p] if p >= 1 and p + a[p - 1] == x + a[x - 1] else x
     return tops
 
 

@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeanderingDiagram:
     """Endpoint arrays of a meandering diagram; index t-1 holds white point t.
 

@@ -45,15 +45,18 @@ class BinaryTree:
     ``BinaryTree()`` is a leaf; ``BinaryTree(left, right)`` is a node.  The
     size (number of nodes) and a structural hash are computed once at
     construction, so equality tests and size queries never recurse deeply.
+    The bracket vector and the dual bracket vector are filled on first use
+    and kept: trees are immutable, so neither can go stale.
     """
 
-    __slots__ = ("left", "right", "size", "_hash")
+    __slots__ = ("left", "right", "size", "_hash", "_bv", "_dbv")
 
     def __init__(self, left: "BinaryTree | None" = None, right: "BinaryTree | None" = None):
         if (left is None) != (right is None):
             raise ValueError("a node requires both children")
         self.left = left
         self.right = right
+        self._bv = self._dbv = None
         if left is None:
             self.size = 0
             self._hash = hash(("BinaryTree", 0))
@@ -117,12 +120,16 @@ def _infix_nodes(t: BinaryTree) -> Iterator[BinaryTree]:
 
 def bracket_vector(t: BinaryTree) -> tuple[int, ...]:
     """Sizes of the right subtrees, per node in infix order."""
-    return tuple(v.right.size for v in _infix_nodes(t))
+    if t._bv is None:
+        t._bv = tuple(v.right.size for v in _infix_nodes(t))
+    return t._bv
 
 
 def dual_bracket_vector(t: BinaryTree) -> tuple[int, ...]:
     """Sizes of the left subtrees, per node in infix order."""
-    return tuple(v.left.size for v in _infix_nodes(t))
+    if t._dbv is None:
+        t._dbv = tuple(v.left.size for v in _infix_nodes(t))
+    return t._dbv
 
 
 def mirror(t: BinaryTree) -> BinaryTree:
@@ -210,10 +217,16 @@ def dual_degree_vector(t: BinaryTree) -> tuple[int, ...]:
 
 
 def canopy(t: BinaryTree) -> tuple[int, ...]:
-    """Leaf types left to right: 1 for a left child, 0 for a right child."""
+    """Leaf types left to right: 1 for a left child, 0 for a right child.
+
+    Leaf 0 is always a left child.  Leaf k >= 1 follows node k in infix
+    order: it is node k's right child when node k has an empty right
+    subtree, and otherwise the leftmost leaf of that subtree, a left child.
+    So bit k is ``bracket_vector(t)[k - 1] > 0``.
+    """
     if t.is_leaf:
         raise UnsupportedSize("the canopy is defined for trees of size >= 1")
-    return tuple(1 if d > 0 else 0 for d in degree_vector(t))
+    return (1, *(1 if a else 0 for a in bracket_vector(t)))
 
 
 def smooth_arcs(t: BinaryTree) -> tuple[tuple[int, int], ...]:

@@ -141,6 +141,18 @@ def test_closure_ends_have_opposite_colors():
             assert b.half_color(path[1], path[0]) != b.half_color(path[-2], path[-1])
 
 
+def test_trusted_stretch_equals_the_validated_diagram():
+    # to_meandering builds its diagram unchecked; the validating constructor
+    # must accept the same arcs, on seeded draws and on their reflections and
+    # color switches
+    rng = RandomSource(2718)
+    for n in (50, 1000):
+        b = sample_blossoming(n, rng)
+        for tree in (b, reflect(b), switch_colors(b)):
+            m = to_meandering(tree)
+            assert m == MeanderingDiagram(m.up, m.lo)
+
+
 # -------------------------------------------------------------- the bijection
 
 

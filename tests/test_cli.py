@@ -171,6 +171,7 @@ def test_error_paths():
         ["verify", "--max-n", "9"],
         ["count", "--n", "3", "--k", "0", "--family", "kreweras", "--json"],
         ["count", "--n", "3", "--k", "0", "--self-dual", "--json"],
+        ["series", "--n", "-1"],
     ],
 )
 def test_bad_input_gives_one_json_error_line(argv, capsys):

@@ -31,6 +31,7 @@ from tamari.trees import (
     LEAF,
     BinaryTree,
     canopy,
+    degree_vector,
     enumerate_binary_trees,
     mirror,
     tamari_leq,
@@ -304,7 +305,7 @@ def test_deeply_nested_blocks_are_checked_in_one_pass():
     assert is_kreweras(make_interval(t, t))
 
 
-def test_shortcut_classifiers_match_their_oracles_at_500():
+def _cases_at_500():
     rng = RandomSource(500)
     sampled = [sample_interval(500, rng) for _ in range(6)]
     left_comb = LEAF
@@ -312,12 +313,78 @@ def test_shortcut_classifiers_match_their_oracles_at_500():
         left_comb = BinaryTree(left_comb, LEAF)
     # the whole lattice is self-dual, a trivial interval is Kreweras
     cases = sampled + [make_interval(left_comb, mirror(left_comb))]
-    cases += [make_interval(i.lower, i.lower) for i in sampled[:3]]
+    return cases + [make_interval(i.lower, i.lower) for i in sampled[:3]]
+
+
+def test_shortcut_classifiers_match_their_oracles_at_500():
+    cases = _cases_at_500()
     self_dual = [is_self_dual(i) for i in cases]
     kreweras = [is_kreweras(i) for i in cases]
     assert self_dual == [dual_interval(i) == i for i in cases]
     assert kreweras == [refines(iota(i.lower), iota(i.upper)) for i in cases]
     assert set(self_dual) == set(kreweras) == {False, True}
+
+
+def _right_branches(t):
+    """iota(t) read off the tree itself: blocks of the maximal right branches."""
+    blocks = {}
+    # (subtree, smallest infix label inside, top of the right branch it hangs on)
+    stack = [(t, 1, 0)]
+    while stack:
+        sub, lo, top = stack.pop()
+        if not sub.is_leaf:
+            label = lo + sub.left.size
+            top = top or label
+            blocks.setdefault(top, []).append(label)
+            stack.append((sub.left, lo, 0))
+            stack.append((sub.right, label + 1, top))
+    return NonCrossingPartition(blocks.values())
+
+
+def _canopy_bits(t):
+    return tuple(1 if d > 0 else 0 for d in degree_vector(t))
+
+
+def _new_by_definition(interval):
+    if interval.n == 1:
+        return True
+    try:
+        inner = derise(interval)
+    except NotDerisable:
+        return False
+    return tamari_leq(*rise(inner))
+
+
+def test_vector_classifiers_match_their_definitions():
+    # every interval with n <= 6, the n = 500 pool and the size-10^5 comb
+    # intervals: bottom to top, and both ends as trivial intervals
+    small = [i for n in range(1, 7) for i in enumerate_intervals(n)]
+    left_comb = LEAF
+    for _ in range(100_000):
+        left_comb = BinaryTree(left_comb, LEAF)
+    right_comb = mirror(left_comb)
+    combs = [
+        make_interval(left_comb, right_comb),
+        make_interval(left_comb, left_comb),
+        make_interval(right_comb, right_comb),
+    ]
+    for interval in small + _cases_at_500() + combs:
+        low, up = interval.lower, interval.upper
+        assert is_modern(interval) == tamari_leq(*rise(interval))
+        assert is_new(interval) == _new_by_definition(interval)
+        low_bits, up_bits = _canopy_bits(low), _canopy_bits(up)
+        assert canopy(low) == low_bits and canopy(up) == up_bits
+        assert is_synchronized(interval) == (low_bits == up_bits)
+        joint = list(zip(up_bits, low_bits))
+        expected = joint.count((1, 1)), joint.count((0, 0)), joint.count((1, 0))
+        assert canopy_type_counts(interval) == expected
+        assert iota(low) == _right_branches(low) and iota(up) == _right_branches(up)
+        assert is_kreweras(interval) == refines(iota(low), iota(up))
+        if interval.n <= 500:
+            assert is_infinitely_modern(interval) == (not gaps(interval))
+    for member in (is_modern, is_new, is_synchronized, is_kreweras, is_infinitely_modern):
+        assert {member(i) for i in small} == {False, True}
+    assert [is_new(i) for i in combs] == [True, False, False]
 
 
 def test_refines_basics():
