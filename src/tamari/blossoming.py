@@ -401,27 +401,23 @@ def non_modern_edges(tree: BlossomingTree) -> list[int]:
 _Links = list[list[tuple[int, bool, bool]]]
 
 
-def _good_links(tree: BlossomingTree) -> tuple[_Links, _Links]:
-    """Counterclockwise and clockwise links, from one pass over the edges.
+def _good_links(tree: BlossomingTree, clockwise: bool) -> _Links:
+    """Links of one direction, from one pass over the edges.
 
-    Per node v, the links of one direction hold one entry (w, good at v,
-    good at w) per edge vw.  A half-edge is good when the next item around
-    its node in that direction is another plain half-edge rather than a bud.
+    Per node v the links hold one entry (w, good at v, good at w) per edge
+    vw.  A half-edge is good when the next item around its node in that
+    direction is another plain half-edge rather than a bud.
     """
     items = tree.items
-    ccw: _Links = [[] for _ in items]
-    cw: _Links = [[] for _ in items]
+    step = -1 if clockwise else 1
+    links: _Links = [[] for _ in items]
     for v1, s1, v2, s2 in tree._ends.values():
         seq1, seq2 = items[v1], items[v2]
-        ccw1 = seq1[(s1 + 1) % len(seq1)] != BUD
-        ccw2 = seq2[(s2 + 1) % len(seq2)] != BUD
-        cw1 = seq1[s1 - 1] != BUD
-        cw2 = seq2[s2 - 1] != BUD
-        ccw[v1].append((v2, ccw1, ccw2))
-        ccw[v2].append((v1, ccw2, ccw1))
-        cw[v1].append((v2, cw1, cw2))
-        cw[v2].append((v1, cw2, cw1))
-    return ccw, cw
+        good1 = seq1[(s1 + step) % len(seq1)] != BUD
+        good2 = seq2[(s2 + step) % len(seq2)] != BUD
+        links[v1].append((v2, good1, good2))
+        links[v2].append((v1, good2, good1))
+    return links
 
 
 def _scan_paths(tree: BlossomingTree, clockwise: bool) -> list[tuple[int, ...]]:
@@ -430,7 +426,7 @@ def _scan_paths(tree: BlossomingTree, clockwise: bool) -> list[tuple[int, ...]]:
     From each u one depth-first walk enters only through u's good
     half-edges; a node w > u it reaches through a good half-edge ends a path.
     """
-    links = _good_links(tree)[clockwise]
+    links = _good_links(tree, clockwise)
     parent = [0] * len(links)
     found = []
     for u, out in enumerate(links):
@@ -466,11 +462,11 @@ def _facing_good_half_edges(tree: BlossomingTree, clockwise: bool) -> bool:
     or B(x -> z) for a neighbor z != u.  Rerooting from node 0 computes B
     on every directed edge, downward first and then upward, with a count of
     the true B(x -> .) per node; a path exists when some B(u -> x) holds
-    through a half-edge good at u.  The first call decides both directions
-    from one build of the links and keeps the two answers on the tree.
+    through a half-edge good at u.  The first call decides both directions,
+    one build of the links each, and keeps the two answers on the tree.
     """
     if tree._facing is None:
-        tree._facing = tuple(map(_facing_in, _good_links(tree)))
+        tree._facing = tuple(_facing_in(_good_links(tree, cw)) for cw in (False, True))
     return tree._facing[clockwise]
 
 

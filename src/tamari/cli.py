@@ -47,6 +47,9 @@ from .verify import run_checks
 
 __all__ = ["main", "run"]
 
+_FROM_FILE = "@path reads it from a file and - from standard input"
+
+
 def _family(text: str) -> Family:
     try:
         return Family(text)
@@ -78,13 +81,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("map", help="interval text to blossoming JSON")
-    p.add_argument("interval", help="text form '<dyckLower>|<dyckUpper>'")
+    p.add_argument("interval", help=f"text form '<dyckLower>|<dyckUpper>'; {_FROM_FILE}")
 
     p = sub.add_parser("unmap", help="blossoming JSON to interval text")
-    p.add_argument("diagram", help="canonical blossoming JSON")
+    p.add_argument("diagram", help=f"canonical blossoming JSON; {_FROM_FILE}")
 
     p = sub.add_parser("classify", help="family membership of one interval")
-    p.add_argument("interval")
+    p.add_argument("interval", help=_FROM_FILE)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("sample", help="uniform random intervals")
@@ -97,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("render", help="write an SVG drawing of an interval")
-    p.add_argument("interval")
+    p.add_argument("interval", help=_FROM_FILE)
     p.add_argument(
         "--style", choices=("smooth", "meandering", "blossoming"), default="meandering"
     )
@@ -149,20 +152,38 @@ def _cmd_enumerate(args, out) -> int:
     return 0
 
 
+def _read_object(arg: str) -> str:
+    """The object an argument names: itself, or the text of the file
+    ``@path`` or of standard input ``-``, less one trailing newline.
+
+    No interval or diagram text starts with @ or is -, so these forms take
+    nothing away; reading here, not in the parser, lets ``run`` report an
+    unreadable file as one JSON error line.
+    """
+    if arg == "-":
+        text = sys.stdin.read()
+    elif arg.startswith("@"):
+        with open(arg[1:]) as handle:
+            text = handle.read()
+    else:
+        return arg
+    return text[:-1] if text.endswith("\n") else text
+
+
 def _cmd_map(args, out) -> int:
-    interval = interval_from_text(args.interval)
+    interval = interval_from_text(_read_object(args.interval))
     print(diagram_to_json(from_tree_pair(interval.lower, interval.upper)), file=out)
     return 0
 
 
 def _cmd_unmap(args, out) -> int:
-    lower, upper = to_tree_pair(diagram_from_json(args.diagram))
+    lower, upper = to_tree_pair(diagram_from_json(_read_object(args.diagram)))
     print(interval_to_text(make_interval(lower, upper)), file=out)
     return 0
 
 
 def _cmd_classify(args, out) -> int:
-    interval = interval_from_text(args.interval)
+    interval = interval_from_text(_read_object(args.interval))
     i, j, m = canopy_type_counts(interval)
     flags = {
         "synchronized": is_synchronized(interval),
@@ -218,7 +239,7 @@ def _write_figure(figure, path, out) -> None:
 
 
 def _cmd_render(args, out) -> int:
-    interval = interval_from_text(args.interval)
+    interval = interval_from_text(_read_object(args.interval))
     if args.style == "smooth":
         figure = render_smooth(interval)
     else:

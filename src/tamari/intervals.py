@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import le
 from typing import Iterable
 
 from .errors import NotAnInterval, NotDerisable, SizeMismatch, UnsupportedSize
 from .trees import (
     LEAF,
     BinaryTree,
+    _tree_of,
     bracket_vector,
     degree_vector,
     dual_bracket_vector,
@@ -184,14 +186,19 @@ def rise(pair: TamariInterval | tuple[BinaryTree, BinaryTree]) -> tuple[BinaryTr
 
 
 def derise(interval: TamariInterval) -> TamariInterval:
-    """Inverse of rise on its image; raises NotDerisable otherwise."""
-    low, up = interval.lower, interval.upper
-    if not low.right.is_leaf or not up.left.is_leaf:
+    """Inverse of rise on its image; raises NotDerisable otherwise.
+
+    The rise shape puts the lower root at node n (b_n = n - 1) and the upper
+    root at node 1 (a_1 = n - 1); the inner trees carry the other entries.
+    """
+    n = interval.n
+    low, up = bracket_vector(interval.lower), bracket_vector(interval.upper)
+    if dual_bracket_vector(interval.lower)[-1] != n - 1 or up[0] != n - 1:
         raise NotDerisable("root leaves do not match the rise shape")
-    if interval.n == 1:
+    if n == 1:
         raise NotDerisable("the size-1 interval derises to the empty interval")
     try:
-        return TamariInterval(low.left, up.right)
+        return TamariInterval(_tree_of(low[:-1]), _tree_of(up[1:]))
     except NotAnInterval as exc:
         raise NotDerisable("inner pair is not an interval") from exc
 
@@ -284,7 +291,7 @@ def is_modern(interval: TamariInterval) -> bool:
     above, so domination comes down to bv(L)[i] <= bv(U)[i - 1], i = 2..n.
     """
     low = bracket_vector(interval.lower)
-    return all(x <= y for x, y in zip(low[1:], bracket_vector(interval.upper)))
+    return all(map(le, low[1:], bracket_vector(interval.upper)))
 
 
 def is_k_modern(interval: TamariInterval, k: int) -> bool:
@@ -335,7 +342,7 @@ def is_new(interval: TamariInterval) -> bool:
     return (
         dual_bracket_vector(interval.lower)[-1] == n - 1
         and up[0] == n - 1
-        and all(x <= y for x, y in zip(bracket_vector(interval.lower), up[1:]))
+        and all(map(le, bracket_vector(interval.lower), up[1:]))
     )
 
 

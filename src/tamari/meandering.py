@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import add, sub
 
 from .errors import (
     InvalidBracketVector,
@@ -27,8 +28,8 @@ from .errors import (
 )
 from .trees import (
     BinaryTree,
-    _nesting_runs,
-    _tree_from_runs,
+    _check_nesting,
+    _tree_of,
     bracket_vector,
     dual_bracket_vector,
 )
@@ -78,8 +79,8 @@ class MeanderingDiagram:
             if not t <= self.lo[t - 1] <= n:
                 raise InvalidDiagram(f"lo[{t}] = {self.lo[t - 1]} out of [{t}..{n}]")
         try:
-            _nesting_runs([self.lo[t - 1] - t for t in range(1, n + 1)], False)
-            _nesting_runs([t - 1 - self.up[t - 1] for t in range(1, n + 1)], True)
+            _check_nesting([self.lo[t - 1] - t for t in range(1, n + 1)], False)
+            _check_nesting([t - 1 - self.up[t - 1] for t in range(1, n + 1)], True)
         except InvalidBracketVector as exc:
             raise InvalidDiagram(f"arcs cross: {exc}") from exc
 
@@ -143,21 +144,22 @@ def from_tree_pair(lower: BinaryTree, upper: BinaryTree) -> MeanderingDiagram:
         raise SizeMismatch(f"sizes {lower.size} and {upper.size} differ")
     if lower.size < 1:
         raise UnsupportedSize("diagram drawings need size >= 1")
-    lo = tuple(t + a for t, a in enumerate(bracket_vector(lower), 1))
-    up = tuple(t - 1 - b for t, b in enumerate(dual_bracket_vector(upper), 1))
+    n = lower.size
+    lo = tuple(map(add, range(1, n + 1), bracket_vector(lower)))
+    up = tuple(map(sub, range(n), dual_bracket_vector(upper)))
     return _trusted_diagram(up, lo)
 
 
 def to_tree_pair(m: MeanderingDiagram) -> tuple[BinaryTree, BinaryTree]:
     """Inverse of from_tree_pair: recover (lower, upper) from the arcs.
 
-    The constructor already checked that the arcs nest, so the Dyck runs of
-    each tree are the arc counts at the black points: lower arcs in order,
-    upper arcs read from point n down to 0.
+    The constructor already checked that the arcs nest, so the lower arcs
+    give the lower tree's bracket vector, a_t = lo[t] - t, and the upper
+    arcs the upper tree's dual bracket vector, b_t = t - 1 - up[t].
     """
     return (
-        _tree_from_runs(lower_arc_counts(m), False),
-        _tree_from_runs(upper_arc_counts(m)[::-1], True),
+        _tree_of(tuple(map(sub, m.lo, range(1, m.n + 1)))),
+        _tree_of(None, tuple(map(sub, range(m.n), m.up))),
     )
 
 

@@ -60,22 +60,24 @@ def _document(width: int, height: int, body: list[str]) -> Figure:
     return Figure(svg="\n".join(lines), width=width, height=height)
 
 
-def _arc(x1: int, x2: int, axis_y: int, upper: bool) -> str:
-    r = (x2 - x1) // 2
+def _arc(axis_y: int, upper: bool) -> str:
+    """Template of one arc on the axis at height ``axis_y``; fill it with
+    ``(x1, r, r, x2)``, r = (x2 - x1) // 2."""
     sweep = 1 if upper else 0
     color = UPPER_COLOR if upper else LOWER_COLOR
     side = "upper" if upper else "lower"
     return (
-        f'<path class="arc {side}" d="M {x1} {axis_y} A {r} {r} 0 0 {sweep} '
-        f'{x2} {axis_y}" fill="none" stroke="{color}" stroke-width="2"/>'
+        f'<path class="arc {side}" d="M %d {axis_y} A %d %d 0 0 {sweep} '
+        f'%d {axis_y}" fill="none" stroke="{color}" stroke-width="2"/>'
     )
 
 
-def _point(x: int, axis_y: int, black: bool) -> str:
+def _point(axis_y: int, black: bool) -> str:
+    """Template of one axis point; fill it with its abscissa."""
     fill = "black" if black else "white"
     kind = "black" if black else "white"
     return (
-        f'<circle class="point {kind}" cx="{x}" cy="{axis_y}" r="{POINT_RADIUS}" '
+        f'<circle class="point {kind}" cx="%d" cy="{axis_y}" r="{POINT_RADIUS}" '
         f'fill="{fill}" stroke="black" stroke-width="1"/>'
     )
 
@@ -87,15 +89,16 @@ def _axis(x1: int, x2: int, axis_y: int) -> str:
     )
 
 
-def _bud(x: int, axis_y: int, direction: int) -> list[str]:
-    tip = x + direction * (BUD_LENGTH + BUD_HEAD)
-    base = x + direction * BUD_LENGTH
-    return [
-        f'<line class="bud" x1="{x}" y1="{axis_y}" x2="{base}" y2="{axis_y}" '
-        f'stroke="black" stroke-width="2"/>',
-        f'<polygon class="bud-head" points="{tip},{axis_y} {base},{axis_y - 4} '
-        f'{base},{axis_y + 4}" fill="black"/>',
-    ]
+def _bud(axis_y: int) -> str:
+    """Template of the two elements of one bud pointing in direction +-1:
+    fill it with the abscissa x of its point, then x + direction * d for
+    d = 14, 20, 14, 14 (the base, the tip and the head's back corners)."""
+    return (
+        f'<line class="bud" x1="%d" y1="{axis_y}" x2="%d" y2="{axis_y}" '
+        f'stroke="black" stroke-width="2"/>\n'
+        f'<polygon class="bud-head" points="%d,{axis_y} %d,{axis_y - 4} '
+        f'%d,{axis_y + 4}" fill="black"/>'
+    )
 
 
 def render_meandering(m: MeanderingDiagram) -> Figure:
@@ -111,12 +114,13 @@ def render_smooth(interval: TamariInterval) -> Figure:
     height = 2 * axis_y
     xs = [MARGIN + k * SPACING for k in range(n + 1)]
     body = [_axis(MARGIN, width - MARGIN, axis_y)]
-    for left, right in smooth_arcs(interval.upper):
-        body.append(_arc(xs[left], xs[right], axis_y, upper=True))
-    for left, right in smooth_arcs(interval.lower):
-        body.append(_arc(xs[left], xs[right], axis_y, upper=False))
-    for x in xs:
-        body.append(_point(x, axis_y, black=True))
+    for tree, upper in ((interval.upper, True), (interval.lower, False)):
+        arc = _arc(axis_y, upper)
+        for left, right in smooth_arcs(tree):
+            x1, x2 = xs[left], xs[right]
+            body.append(arc % (x1, (x2 - x1) // 2, (x2 - x1) // 2, x2))
+    point = _point(axis_y, black=True)
+    body += [point % x for x in xs]
     return _document(width, max(height, 2 * MARGIN), body)
 
 
@@ -137,14 +141,21 @@ def _diagram_figure(m: MeanderingDiagram, buds: bool) -> Figure:
     axis_y = MARGIN + n * SPACING
     xs = [offset + i * SPACING for i in range(2 * n + 1)]
     body = [_axis(xs[0], xs[-1], axis_y)]
-    for t in range(1, n + 1):
-        white_x = xs[2 * t - 1]
-        body.append(_arc(xs[2 * m.up[t - 1]], white_x, axis_y, upper=True))
-        body.append(_arc(white_x, xs[2 * m.lo[t - 1]], axis_y, upper=False))
+    # one template per white point for its two arcs, and one per black
+    # point with the white point after it
+    arcs = _arc(axis_y, True) + "\n" + _arc(axis_y, False)
+    for white_x, u, v in zip(xs[1::2], m.up, m.lo):
+        x1, x2 = xs[2 * u], xs[2 * v]
+        r1, r2 = (white_x - x1) // 2, (x2 - white_x) // 2
+        body.append(arcs % (x1, r1, r1, white_x, white_x, r2, r2, x2))
     if buds:
+        both = _bud(axis_y) + "\n" + _bud(axis_y)
+        tip, base = BUD_LENGTH + BUD_HEAD, BUD_LENGTH
         for x in xs[::2]:
-            body.extend(_bud(x, axis_y, -1))
-            body.extend(_bud(x, axis_y, +1))
-    for i, x in enumerate(xs):
-        body.append(_point(x, axis_y, black=i % 2 == 0))
+            left, right = x - base, x + base
+            body.append(both % (x, left, x - tip, left, left, x, right, x + tip, right, right))
+    black = _point(axis_y, black=True)
+    points = black + "\n" + _point(axis_y, black=False)
+    body += [points % pair for pair in zip(xs[::2], xs[1::2])]
+    body.append(black % xs[-1])
     return _document(2 * offset + 2 * n * SPACING, max(2 * axis_y, 2 * MARGIN), body)

@@ -1,15 +1,17 @@
 """Binary trees, their vector encodings, the Tamari order, and Dyck walks.
 
-Trees are immutable values with structural equality.  Nodes are implicitly
-labeled 1..n in infix order and leaves sit at abscissas 0..n from left to
-right; all positional conventions below refer to that labeling.  Everything
-that may recurse to depth n is written iteratively so that trees of size
-10^5 (as produced by the random sampler) remain usable.
+Nodes are labeled 1..n in infix order and leaves sit at abscissas 0..n.  A
+tree's state is its bracket vector a (right subtree sizes) and dual vector
+b (left subtree sizes): node i spans nodes i - b_i .. i + a_i.  Equality
+and hashing compare a, and every encoder reads a, b or the Dyck runs,
+runs[e] = #{j : j + a_j = e}.  Nothing recurses, so the size-10^5 trees of
+the random sampler remain usable.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from operator import add, le, sub
+from typing import Sequence
 
 from .errors import InvalidBracketVector, InvalidDyckWord, SizeMismatch, UnsupportedSize
 
@@ -42,55 +44,48 @@ MAX_ENUMERATION_SIZE = 12
 class BinaryTree:
     """A binary tree: either a leaf or a node with two subtrees.
 
-    ``BinaryTree()`` is a leaf; ``BinaryTree(left, right)`` is a node.  The
-    size (number of nodes) and a structural hash are computed once at
-    construction, so equality tests and size queries never recurse deeply.
-    The bracket vector and the dual bracket vector are filled on first use
-    and kept: trees are immutable, so neither can go stale.
+    ``BinaryTree()`` is a leaf; ``BinaryTree(left, right)`` is a node, built
+    in constant time, whose vectors are filled on first use and kept.  The
+    decoders build trees that hold only vectors (``_tree_of``); their first
+    ``.left`` or ``.right`` builds all their nodes in one stack pass.
     """
 
-    __slots__ = ("left", "right", "size", "_hash", "_bv", "_dbv")
+    __slots__ = ("_left", "_right", "size", "_hash", "_bv", "_dbv")
 
     def __init__(self, left: "BinaryTree | None" = None, right: "BinaryTree | None" = None):
         if (left is None) != (right is None):
             raise ValueError("a node requires both children")
-        self.left = left
-        self.right = right
-        self._bv = self._dbv = None
-        if left is None:
-            self.size = 0
-            self._hash = hash(("BinaryTree", 0))
-        else:
-            self.size = left.size + right.size + 1
-            self._hash = hash((left._hash, right._hash))
+        self._left, self._right, self._hash = left, right, None
+        self.size = 0 if left is None else left.size + right.size + 1
+        self._bv = self._dbv = () if left is None else None
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    left = property(lambda self: self._children()[0])
+    right = property(lambda self: self._children()[1])
+    is_leaf = property(lambda self: not self.size)
+
+    def _children(self) -> "tuple[BinaryTree | None, BinaryTree | None]":
+        if self._left is None and self.size:
+            # all nodes in one stack pass over the Dyck walk U D^runs[1] ...
+            stack: list[BinaryTree] = []
+            cur = LEAF
+            for run in _runs(bracket_vector(self))[1:]:
+                stack.append(cur)
+                cur = LEAF
+                for _ in range(run):
+                    cur = BinaryTree(stack.pop(), cur)
+            self._left, self._right = cur._left, cur._right
+        return self._left, self._right
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
         if not isinstance(other, BinaryTree):
             return NotImplemented
-        if self.size != other.size or self._hash != other._hash:
-            return False
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.left is None or b.left is None:
-                if a.left is not None or b.left is not None:
-                    return False
-                continue
-            if a.size != b.size or a._hash != b._hash:
-                return False
-            stack.append((a.left, b.left))
-            stack.append((a.right, b.right))
-        return True
+        return self.size == other.size and bracket_vector(self) == bracket_vector(other)
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(bracket_vector(self))
         return self._hash
 
     def __repr__(self) -> str:
@@ -103,50 +98,99 @@ class BinaryTree:
 LEAF = BinaryTree()
 
 
-def _infix_nodes(t: BinaryTree) -> Iterator[BinaryTree]:
-    """Yield the internal nodes of ``t`` in infix order (labels 1..n)."""
-    stack: list[BinaryTree] = []
-    cur = t
-    while True:
-        while cur.left is not None:
-            stack.append(cur)
-            cur = cur.left
-        if not stack:
-            return
-        cur = stack.pop()
-        yield cur
-        cur = cur.right  # type: ignore[assignment]
+def _tree_of(bv: tuple[int, ...] | None, dbv: tuple[int, ...] | None = None) -> BinaryTree:
+    """The tree with bracket vector ``bv`` or dual bracket vector ``dbv``,
+    which the caller knows to encode a tree; the other vector may be None."""
+    t = object.__new__(BinaryTree)
+    t._left = t._right = t._hash = None
+    t.size = len(dbv if bv is None else bv)
+    t._bv, t._dbv = bv, dbv
+    return t
+
+
+def _fill_vectors(t: BinaryTree) -> None:
+    # One infix walk over the nodes of a tree built by the constructor; a
+    # subtree that knows a vector contributes both of its vectors whole.
+    bv, dbv = [], []
+    stack: list = [t._right, (t._right.size, t._left.size), t._left]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            bv.append(node[0])
+            dbv.append(node[1])
+        elif node._bv is None and node._dbv is None:
+            stack += (node._right, (node._right.size, node._left.size), node._left)
+        else:
+            bv += bracket_vector(node)
+            dbv += dual_bracket_vector(node)
+    t._bv, t._dbv = tuple(bv), tuple(dbv)
+
+
+def _walk(runs: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Bracket and dual bracket vectors from the Dyck runs, in one stack pass.
+
+    The e-th up step opens node e, whose left subtree holds the nodes after
+    the last node still open (0 for none).  Each of the runs[e] down steps
+    after it closes the last open node k, whose right subtree holds e - k
+    nodes.  On runs with as many down steps as up steps, a dip below the
+    axis pops the 0 and then finds the stack empty: IndexError.
+    """
+    n = len(runs) - 1
+    a = [0] * n
+    b = [0] * n
+    stack = [0]
+    for e in range(1, n + 1):
+        b[e - 1] = e - 1 - stack[-1]
+        stack.append(e)
+        for _ in range(runs[e]):
+            k = stack.pop()
+            a[k - 1] = e - k
+    return tuple(a), tuple(b)
 
 
 def bracket_vector(t: BinaryTree) -> tuple[int, ...]:
     """Sizes of the right subtrees, per node in infix order."""
     if t._bv is None:
-        t._bv = tuple(v.right.size for v in _infix_nodes(t))
+        if t._dbv is None:
+            _fill_vectors(t)
+        else:
+            # a dual vector read right to left is the mirror's bracket vector
+            t._bv = _walk(_runs(t._dbv[::-1]))[1][::-1]
     return t._bv
 
 
 def dual_bracket_vector(t: BinaryTree) -> tuple[int, ...]:
     """Sizes of the left subtrees, per node in infix order."""
     if t._dbv is None:
-        t._dbv = tuple(v.left.size for v in _infix_nodes(t))
+        if t._bv is None:
+            _fill_vectors(t)
+        else:
+            t._dbv = _walk(_runs(t._bv))[1]
     return t._dbv
 
 
 def mirror(t: BinaryTree) -> BinaryTree:
     """Exchange left and right throughout the tree (an involution)."""
-    return _tree_from_runs(_nesting_runs(bracket_vector(t), False), True)
+    return _tree_of(dual_bracket_vector(t)[::-1], bracket_vector(t)[::-1])
 
 
-def _nesting_runs(v: Sequence[int], reverse: bool) -> list[int]:
-    """Check that a bracket vector encodes a tree; return its Dyck runs.
+def _runs(a: Sequence[int]) -> list[int]:
+    """Entry e: the spans [j, j + a_j] ending at e, that is the run of down
+    steps after the e-th up step of the tree's Dyck walk."""
+    runs = [0] * (len(a) + 1)
+    for j, x in enumerate(a, 1):
+        runs[j + x] += 1
+    return runs
+
+
+def _check_nesting(v: Sequence[int], reverse: bool) -> tuple[int, ...]:
+    """Check that a bracket vector encodes a tree; return it as a tuple.
 
     Entry j (read right to left when ``reverse``, the dual case) spans
     [j, j + v_j]; the spans must nest, which a stack of open span ends checks.
-    Entry e of the result counts the spans ending at e: the run of down steps
-    after the e-th up step of the tree's Dyck walk.
     """
+    v = tuple(v)
     n = len(v)
-    runs = [0] * (n + 1)
     ends: list[int] = []
     for j, a in enumerate(reversed(v) if reverse else v, start=1):
         if not isinstance(a, int) or a < 0 or j + a > n:
@@ -156,64 +200,35 @@ def _nesting_runs(v: Sequence[int], reverse: bool) -> list[int]:
             ends.pop()
         end = j + a
         if ends and end > ends[-1]:
-            raise InvalidBracketVector(f"{tuple(v)} violates the nesting condition")
+            raise InvalidBracketVector(f"{v} violates the nesting condition")
         ends.append(end)
-        runs[end] += 1
-    return runs
-
-
-def _tree_from_runs(runs: list[int], mirrored: bool) -> BinaryTree:
-    # One stack pass over the Dyck walk U D^runs[1] ... U D^runs[n], as in
-    # tree_from_dyck.  Building every node mirrored yields the mirror tree;
-    # a dual bracket vector read right to left is the mirror's bracket vector.
-    stack: list[BinaryTree] = []
-    cur = LEAF
-    for run in runs[1:]:
-        stack.append(cur)
-        cur = LEAF
-        for _ in range(run):
-            cur = BinaryTree(cur, stack.pop()) if mirrored else BinaryTree(stack.pop(), cur)
-    return cur
+    return v
 
 
 def tree_from_bracket_vector(v: Sequence[int]) -> BinaryTree:
     """Decode a bracket vector back into the unique tree carrying it.
 
     Raises InvalidBracketVector when an entry is out of range or the spans
-    [i, i + v_i] do not nest: one pass checks that and yields the Dyck runs.
+    [i, i + v_i] do not nest.
     """
-    return _tree_from_runs(_nesting_runs(tuple(v), False), False)
+    return _tree_of(_check_nesting(v, False))
 
 
 def tree_from_dual_bracket_vector(v: Sequence[int]) -> BinaryTree:
     """Decode a dual bracket vector; inverse of dual_bracket_vector."""
-    return _tree_from_runs(_nesting_runs(tuple(v), True), True)
-
-
-def _branch_lengths(t: BinaryTree, left: bool) -> tuple[int, ...]:
-    """Per leaf, the nodes on the maximal left (or right) branch ending there."""
-    d = [0] * (t.size + 1)
-    pos = 0
-    stack = [(t, 0)]
-    while stack:
-        sub, chain = stack.pop()
-        if sub.left is None:
-            d[pos] = chain
-            pos += 1
-        else:
-            stack.append((sub.right, 0 if left else chain + 1))
-            stack.append((sub.left, chain + 1 if left else 0))
-    return tuple(d)
+    return _tree_of(None, _check_nesting(v, True))
 
 
 def degree_vector(t: BinaryTree) -> tuple[int, ...]:
-    """Entry k: number of nodes on the maximal left branch ending at leaf k."""
-    return _branch_lengths(t, True)
+    """Entry k: number of nodes on the maximal left branch ending at leaf k,
+    whose subtrees start there: the runs of the mirror, read backwards."""
+    return tuple(_runs(dual_bracket_vector(t)[::-1])[::-1])
 
 
 def dual_degree_vector(t: BinaryTree) -> tuple[int, ...]:
-    """Entry k: number of nodes on the maximal right branch ending at leaf k."""
-    return _branch_lengths(t, False)
+    """Entry k: number of nodes on the maximal right branch ending at leaf k,
+    whose subtrees end there: the Dyck runs."""
+    return tuple(_runs(bracket_vector(t)))
 
 
 def canopy(t: BinaryTree) -> tuple[int, ...]:
@@ -231,16 +246,16 @@ def canopy(t: BinaryTree) -> tuple[int, ...]:
 
 def smooth_arcs(t: BinaryTree) -> tuple[tuple[int, int], ...]:
     """One arc per infix node: abscissas of the extreme leaves of its subtree."""
-    a = bracket_vector(t)
-    b = dual_bracket_vector(t)
-    return tuple((i - 1 - b[i - 1], i + a[i - 1]) for i in range(1, t.size + 1))
+    # node i spans the leaves i - 1 - b_i .. i + a_i
+    starts = map(sub, range(t.size), dual_bracket_vector(t))
+    return tuple(zip(starts, map(add, range(1, t.size + 1), bracket_vector(t))))
 
 
 def tamari_leq(t: BinaryTree, u: BinaryTree) -> bool:
     """Order test for the Tamari lattice: componentwise bracket domination."""
     if t.size != u.size:
         raise SizeMismatch(f"sizes {t.size} and {u.size} differ")
-    return all(x <= y for x, y in zip(bracket_vector(t), bracket_vector(u)))
+    return all(map(le, bracket_vector(t), bracket_vector(u)))
 
 
 def right_rotations(t: BinaryTree) -> list[BinaryTree]:
@@ -270,23 +285,7 @@ def right_rotations(t: BinaryTree) -> list[BinaryTree]:
 
 def dyck_from_tree(t: BinaryTree) -> str:
     """Dyck word of the tree: word(L) + U + word(R) + D at each node."""
-    parts: list[str] = []
-    # Nodes whose left subtree is pending; a None per node whose D is pending.
-    stack: list[BinaryTree | None] = []
-    cur = t
-    while True:
-        while cur.left is not None:
-            stack.append(cur)
-            cur = cur.left
-        while stack and stack[-1] is None:
-            stack.pop()
-            parts.append("D")
-        if not stack:
-            return "".join(parts)
-        cur = stack.pop()
-        parts.append("U")
-        stack.append(None)
-        cur = cur.right  # type: ignore[union-attr]
+    return "".join(["U" + "D" * run for run in _runs(bracket_vector(t))[1:]])
 
 
 def _check_dyck(word: str) -> None:
@@ -305,17 +304,20 @@ def _check_dyck(word: str) -> None:
 
 
 def tree_from_dyck(word: str) -> BinaryTree:
-    """Inverse of dyck_from_tree.  Raises InvalidDyckWord on bad input."""
-    _check_dyck(word)
-    stack: list[BinaryTree] = []
-    cur = LEAF
-    for ch in word:
-        if ch == "U":
-            stack.append(cur)
-            cur = LEAF
-        else:
-            cur = BinaryTree(stack.pop(), cur)
-    return cur
+    """Inverse of dyck_from_tree.  Raises InvalidDyckWord on bad input.
+
+    A letter other than U and D, unequal counts, or a dip below the axis
+    defers to ``_check_dyck`` for the error.
+    """
+    runs = list(map(len, word.split("U")))
+    n = len(runs) - 1
+    if runs[0] or len(word) != 2 * n or word.count("D") != n:
+        _check_dyck(word)
+    try:
+        return _tree_of(*_walk(runs))
+    except IndexError:
+        _check_dyck(word)
+        raise
 
 
 def contact_vector(word: str) -> tuple[int, ...]:
@@ -359,9 +361,7 @@ def enumerate_binary_trees(n: int) -> tuple[BinaryTree, ...]:
     if n < 0:
         raise ValueError("size must be non-negative")
     if n > MAX_ENUMERATION_SIZE:
-        raise UnsupportedSize(
-            f"size {n} exceeds the enumeration cap {MAX_ENUMERATION_SIZE}"
-        )
+        raise UnsupportedSize(f"size {n} exceeds the enumeration cap {MAX_ENUMERATION_SIZE}")
     for m in range(1, n + 1):
         if m not in _tree_cache:
             _tree_cache[m] = tuple(

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -222,7 +223,14 @@ def test_cli_payloads_succeed_or_give_one_json_error_line(argv):
         assert "error" in json.loads(line)
 
 
-SMALL_TEXT = st.sampled_from(SMALL_INTERVALS) | st.text(alphabet="UD|", max_size=8)
+#: Object arguments that name a missing file and a directory.
+BAD_PATHS = ["@" + str(Path(__file__).parent / "no-such-file"), "@" + str(Path(__file__).parent)]
+
+SMALL_TEXT = (
+    st.sampled_from(SMALL_INTERVALS)
+    | st.text(alphabet="UD|", max_size=8)
+    | st.sampled_from(BAD_PATHS)
+)
 
 ARGVS = st.tuples(
     st.one_of(
@@ -237,6 +245,7 @@ ARGVS = st.tuples(
             st.just("unmap"),
             st.sampled_from(
                 ['{"n":2,"up":[0,1],"lo":[1,2]}', '{"up":[0],"lo":[true]}', "[1,2]", "{"]
+                + BAD_PATHS
             ),
         ),
         st.tuples(

@@ -32,6 +32,7 @@ from tamari.trees import (
     BinaryTree,
     canopy,
     degree_vector,
+    dyck_from_tree,
     enumerate_binary_trees,
     mirror,
     tamari_leq,
@@ -125,6 +126,20 @@ def test_derise_undoes_rise_on_modern_intervals():
                 low, up = rise(interval)
                 risen = make_interval(low, up)  # rise of modern is an interval
                 assert derise(risen) == interval
+
+
+def test_rise_of_decoded_trees():
+    # trees read from text hold only vectors, and a risen node reads them
+    # whole; derise slices them back out
+    for n in range(1, 6):
+        for text in map(interval_to_text, enumerate_intervals(n)):
+            lower, upper = text.split("|")
+            interval = interval_from_text(text)
+            low, up = rise(interval)
+            assert (dyck_from_tree(low), dyck_from_tree(up)) == (lower + "UD", "U" + upper + "D")
+            assert low.left == interval.lower and up.right == interval.upper
+            if is_modern(interval):
+                assert derise(make_interval(low, up)) == interval
 
 
 def test_derisable_shape_does_not_imply_new():

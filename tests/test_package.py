@@ -65,6 +65,28 @@ def test_python_m_runs_the_command_line(module, tmp_path):
     assert json.loads(line)["error"] == "UnsupportedSize"
 
 
+def test_large_objects_travel_as_files(tmp_path):
+    # Linux caps one argv string at 128 KiB and an interval of size 50,000
+    # is 200 kB of text, so every object argument also takes @path and -
+    def tamari(*argv, stdin=None):
+        done = subprocess.run(
+            [sys.executable, "-m", "tamari", *argv],
+            cwd=tmp_path, env=_source_env(), input=stdin, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        return done.stdout
+
+    assert tamari("sample", "--size", "50000", "--seed", "5", "--out", "f") == ""
+    text = (tmp_path / "f").read_text()
+    assert len(text) == 4 * 50_000 + 2
+    assert tamari("classify", "@f").startswith(text[:-1] + "  ")
+    (tmp_path / "g").write_text(tamari("map", "@f"))
+    assert tamari("unmap", "@g") == text
+    assert tamari("unmap", "-", stdin=(tmp_path / "g").read_text()) == text
+    assert tamari("render", "@f", "--out", "h.svg") == ""
+    assert (tmp_path / "h.svg").read_bytes().startswith(b"<svg ")
+
+
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
     done = subprocess.run(

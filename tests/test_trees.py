@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from tamari import (
     tree_from_dyck,
     to_tree_pair,
 )
+from tamari.trees import _check_dyck
 
 T_A = tree_from_dyck("UUDD")  # (leaf, (leaf, leaf))
 T_B = tree_from_dyck("UDUD")  # ((leaf, leaf), leaf)
@@ -185,6 +187,25 @@ def test_deep_combs_decode_and_encode_iteratively():
     assert smooth_arcs(right_comb) == tuple((i - 1, n) for i in range(1, n + 1))
     assert mirror(left_comb) == right_comb and mirror(right_comb) == left_comb
     assert tamari_leq(left_comb, right_comb) and not tamari_leq(right_comb, left_comb)
+
+
+def test_decoded_comb_walks_and_hashes_like_the_built_one():
+    # a decoded tree holds only vectors; the first .left builds all of its
+    # nodes in one pass, so walking a size-10^5 comb to its last leaf is linear
+    n = 10**5
+    built = LEAF
+    for _ in range(n):
+        built = BinaryTree(built, LEAF)
+    decoded = tree_from_dyck("UD" * n)
+    sub, depth = decoded, 0
+    while not sub.is_leaf:
+        assert sub.right.is_leaf
+        sub, depth = sub.left, depth + 1
+    assert depth == n
+    assert decoded == built and hash(decoded) == hash(built)
+    assert len({decoded, built}) == 1
+    # a node built over decoded children reads their vectors whole
+    assert bracket_vector(BinaryTree(decoded, decoded)) == (0,) * n + (n,) + (0,) * n
 
 
 # -------------------------------------------------------------- degree vectors
@@ -348,7 +369,23 @@ def test_dyck_examples():
 def test_dyck_round_trip():
     for n in range(9):
         for t in all_trees(n):
-            assert tree_from_dyck(dyck_from_tree(t)) == t
+            decoded = tree_from_dyck(dyck_from_tree(t))
+            assert decoded == t
+            assert dual_bracket_vector(decoded) == dual_bracket_vector(t)
+
+
+def test_dyck_decoder_raises_what_the_letter_scan_raises():
+    # every word over {U, D, x} of length <= 8 round-trips, or raises the
+    # error that the letter-by-letter scan raises, message and all
+    for length in range(9):
+        for word in map("".join, itertools.product("UDx", repeat=length)):
+            try:
+                _check_dyck(word)
+            except InvalidDyckWord as exc:
+                with pytest.raises(InvalidDyckWord, match=f"^{re.escape(str(exc))}$"):
+                    tree_from_dyck(word)
+            else:
+                assert dyck_from_tree(tree_from_dyck(word)) == word
 
 
 def test_invalid_dyck_words():
