@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import InvalidBlossoming, NotATree
-from .intervals import TYPE_00, TYPE_10, TYPE_11, TamariInterval, make_interval
+from .intervals import TYPE_00, TYPE_10, TYPE_11, TamariInterval, _trusted_interval
 from .meandering import (
     MeanderingDiagram,
     _trusted_diagram,
@@ -209,11 +209,16 @@ def from_meandering(m: MeanderingDiagram) -> BlossomingTree:
 
     Counterclockwise around black point k the items read: right bud, upper
     arcs by increasing white endpoint (blue), left bud, lower arcs by
-    decreasing white endpoint (red).  The unfolding of a meandering tree
-    is a valid blossoming tree, so it is indexed without a second check.
+    decreasing white endpoint (red).  Checks that ``m`` is a meandering
+    tree, whose unfolding is a valid blossoming tree by construction.
     """
     if not is_meandering_tree(m):
         raise NotATree("only meandering trees unfold to blossoming trees")
+    return _unfold(m)
+
+
+def _unfold(m: MeanderingDiagram) -> BlossomingTree:
+    """``from_meandering`` without the tree test."""
     uppers: list[list] = [[BUD] for _ in range(m.n + 1)]
     lowers: list[list] = [[] for _ in range(m.n + 1)]
     for t, (u, v) in enumerate(zip(m.up, m.lo), 1):
@@ -232,10 +237,10 @@ def closure(tree: BlossomingTree) -> tuple:
 
     Along the counterclockwise contour buds open and legs (the two sides of
     each edge midpoint) close; one stack pass from just after a lowest
-    prefix matches each leg to the nearest open bud.  Two buds stay open, on
-    distinct nodes.  The matches form a path through all nodes and edge
-    midpoints, returned from the smaller dangling node: node ids at even
-    positions, edge ids at odd positions.
+    prefix matches each leg to the nearest open bud.  By the closure theorem
+    two buds stay open, on distinct nodes, and the matches form a path through
+    all nodes and edge midpoints (not checked), returned from the smaller
+    dangling node: node ids at even positions, edge ids at odd positions.
     """
     items, ends = tree.items, tree._ends
     contour = []  # (is_bud, node id or edge id)
@@ -268,7 +273,7 @@ def closure(tree: BlossomingTree) -> tuple:
             node_edges[u].append(label)
             edge_nodes.setdefault(label, []).append(u)
     first, last = sorted(open_buds)
-    if first == last:
+    if first == last:  # the one node that unfolds the empty diagram
         raise InvalidBlossoming("the two dangling buds share a node")
 
     # closure vertices have degree at most two and both dangling nodes
@@ -283,8 +288,6 @@ def closure(tree: BlossomingTree) -> tuple:
             break
         f1, f2 = node_edges[v]
         e = f2 if f1 == e else f1
-    if len(path) != 2 * tree.n + 1:
-        raise InvalidBlossoming("closure edges do not form a Hamiltonian path")
     return tuple(path)
 
 
@@ -320,21 +323,24 @@ def to_meandering(tree: BlossomingTree) -> MeanderingDiagram:
 
 
 def from_interval(interval: TamariInterval) -> BlossomingTree:
-    """The bijection from Tamari intervals to bicolored blossoming trees."""
-    return from_meandering(from_tree_pair(interval.lower, interval.upper))
+    """The bijection from Tamari intervals to bicolored blossoming trees.
+    Checks nothing: the diagram of an interval is a meandering tree."""
+    return _unfold(from_tree_pair(interval.lower, interval.upper))
 
 
 def to_interval(tree: BlossomingTree) -> TamariInterval:
-    """Inverse bijection: close the tree, then read off the tree pair."""
-    return make_interval(*to_tree_pair(to_meandering(tree)))
+    """Inverse bijection: close the tree, then read off the tree pair.
+    Checks nothing: closures stretch to meandering trees, which encode intervals."""
+    return _trusted_interval(*to_tree_pair(to_meandering(tree)))
 
 
 # ------------------------------------------------------------------ involutions
 
 
 def switch_colors(tree: BlossomingTree) -> BlossomingTree:
-    """Swap blue and red on every half-edge; transfers interval duality."""
-    return BlossomingTree(
+    """Swap blue and red on every half-edge; transfers interval duality.
+    Checks nothing: the definition of the trees is symmetric in the colors."""
+    return BlossomingTree._trusted(
         tuple(
             tuple(it if it == BUD else (it[0], BLUE if it[1] == RED else RED) for it in seq)
             for seq in tree.items
@@ -343,8 +349,9 @@ def switch_colors(tree: BlossomingTree) -> BlossomingTree:
 
 
 def reflect(tree: BlossomingTree) -> BlossomingTree:
-    """Mirror the plane structure: reverse every cyclic order, keep colors."""
-    return BlossomingTree(tuple(tuple(reversed(seq)) for seq in tree.items))
+    """Mirror the plane structure: reverse every cyclic order, keep colors.
+    Checks nothing: the definition of the trees is symmetric under mirroring."""
+    return BlossomingTree._trusted(tuple(tuple(reversed(seq)) for seq in tree.items))
 
 
 def reflect_interval(interval: TamariInterval) -> TamariInterval:
@@ -514,15 +521,12 @@ def trivial_bud_position_check(tree: BlossomingTree) -> bool:
     and, at every node, both buds directly follow the edge pointing toward
     that central edge in counterclockwise order."""
     m = to_meandering(tree)
-    canonical = from_meandering(m)
+    canonical = _unfold(m)
     n = canonical.n
-    root_edge = None
-    for t in range(1, n + 1):
-        if m.up[t - 1] == 0 and m.lo[t - 1] == n:
-            root_edge = t
-            break
-    if root_edge is None:
+    arcs = list(zip(m.up, m.lo))
+    if (0, n) not in arcs:
         return False
+    root_edge = 1 + arcs.index((0, n))
     toward: dict[int, int] = {}
     queue = list(canonical.edge_ends(root_edge))
     for v in queue:

@@ -59,9 +59,9 @@ class MeanderingDiagram:
 
     ``up[t-1]`` in [0..t-1] is the black end of the upper arc at white point
     t - 1/2 and ``lo[t-1]`` in [t..n] the black end of its lower arc.
-    Construction checks that the lower spans [t, lo[t]] nest and that the
-    upper spans [up[t], t - 1] nest (the non-crossing conditions), with the
-    bracket-vector nesting pass of each side's tree; no tree is built.
+    Construction checks equal lengths and runs the bracket-vector nesting
+    pass, which also checks that ends are in range, on a_t = lo[t] - t and
+    on the dual vector b_t = t - 1 - up[t]; no tree is built.
     """
 
     up: tuple[int, ...]
@@ -73,16 +73,13 @@ class MeanderingDiagram:
         n = len(self.up)
         if len(self.lo) != n:
             raise InvalidDiagram("up and lo must have equal length")
-        for t in range(1, n + 1):
-            if not 0 <= self.up[t - 1] <= t - 1:
-                raise InvalidDiagram(f"up[{t}] = {self.up[t - 1]} out of [0..{t - 1}]")
-            if not t <= self.lo[t - 1] <= n:
-                raise InvalidDiagram(f"lo[{t}] = {self.lo[t - 1]} out of [{t}..{n}]")
+        side = "lower"
         try:
-            _check_nesting([self.lo[t - 1] - t for t in range(1, n + 1)], False)
-            _check_nesting([t - 1 - self.up[t - 1] for t in range(1, n + 1)], True)
+            _check_nesting(tuple(map(sub, self.lo, range(1, n + 1))), False)
+            side = "upper"
+            _check_nesting(tuple(map(sub, range(n), self.up)), True)
         except InvalidBracketVector as exc:
-            raise InvalidDiagram(f"arcs cross: {exc}") from exc
+            raise InvalidDiagram(f"{side} arcs: {exc}") from exc
 
     @property
     def n(self) -> int:
@@ -250,11 +247,12 @@ def lower_arc_counts(m: MeanderingDiagram) -> tuple[int, ...]:
 
 
 def half_turn(m: MeanderingDiagram) -> MeanderingDiagram:
-    """Rotate the diagram by a half-turn (an involution)."""
+    """Rotate the diagram by a half-turn, an involution (duality on trees).
+    Checks nothing: rotated arcs stay in range and non-crossing."""
     n = m.n
     up = tuple(n - m.lo[n - t] for t in range(1, n + 1))
     lo = tuple(n - m.up[n - t] for t in range(1, n + 1))
-    return MeanderingDiagram(up, lo)
+    return _trusted_diagram(up, lo)
 
 
 # ------------------------------------------------------ recursive decomposition
@@ -288,14 +286,10 @@ def compose(
 ) -> MeanderingDiagram:
     """Rebuild a meandering tree from two parts and an attachment point j.
 
-    ``j`` is a black point of ``right`` not strictly enclosed by any of its
-    lower arcs.  Raises InvalidDecomposition on malformed input.
+    ``j`` must be a black point of ``right`` under none of its lower arcs.
+    Only the whole is checked, by the diagram constructor (which rejects any
+    other j) and the tree test; a failure raises InvalidDecomposition.
     """
-    if not 0 <= j <= right.n:
-        raise InvalidDecomposition(f"j = {j} out of [0..{right.n}]")
-    for t in range(1, right.n + 1):
-        if t <= j < right.lo[t - 1]:
-            raise InvalidDecomposition(f"a lower arc of the right part encloses {j}")
     t_star = left.n + 1
     up = left.up + (0,) + tuple(u + t_star for u in right.up)
     lo = left.lo + (j + t_star,) + tuple(v + t_star for v in right.lo)
@@ -321,13 +315,8 @@ def _meandering_trees(n: int) -> list[MeanderingDiagram]:
                 lefts = _meandering_trees(i)
                 rights = _meandering_trees(n - 1 - i)
                 for right in rights:
-                    points = [
-                        j
-                        for j in range(right.n + 1)
-                        if not any(
-                            t <= j < right.lo[t - 1] for t in range(1, right.n + 1)
-                        )
-                    ]
+                    # the points under no lower arc of the right part
+                    points = [j for j in range(right.n + 1) if max(right.lo[:j], default=0) <= j]
                     for left in lefts:
                         for j in points:
                             out.append(compose(left, right, j))

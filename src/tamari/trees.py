@@ -187,22 +187,26 @@ def _check_nesting(v: Sequence[int], reverse: bool) -> tuple[int, ...]:
     """Check that a bracket vector encodes a tree; return it as a tuple.
 
     Entry j (read right to left when ``reverse``, the dual case) spans
-    [j, j + v_j]; the spans must nest, which a stack of open span ends checks.
+    [j, j + v_j]; the spans must lie in [1..n] and nest, which a stack of
+    open span ends checks.  The error names the first bad entry only.
     """
     v = tuple(v)
     n = len(v)
     ends: list[int] = []
     for j, a in enumerate(reversed(v) if reverse else v, start=1):
         if not isinstance(a, int) or a < 0 or j + a > n:
-            i = n + 1 - j if reverse else j
-            raise InvalidBracketVector(f"entry {i} = {a!r} is out of range")
+            break
         while ends and ends[-1] < j:
             ends.pop()
-        end = j + a
-        if ends and end > ends[-1]:
-            raise InvalidBracketVector(f"{v} violates the nesting condition")
-        ends.append(end)
-    return v
+        if ends and j + a > ends[-1]:
+            break
+        ends.append(j + a)
+    else:
+        return v
+    i = n + 1 - j if reverse else j
+    crosses = isinstance(a, int) and 0 <= a <= n - j
+    problem = "crosses the span of an earlier entry" if crosses else "is out of range"
+    raise InvalidBracketVector(f"entry {i} = {a!r} {problem}")
 
 
 def tree_from_bracket_vector(v: Sequence[int]) -> BinaryTree:
@@ -289,18 +293,19 @@ def dyck_from_tree(t: BinaryTree) -> str:
 
 
 def _check_dyck(word: str) -> None:
+    """Raise InvalidDyckWord naming the first bad letter, never the word."""
     height = 0
-    for ch in word:
+    for i, ch in enumerate(word, 1):
         if ch == "U":
             height += 1
         elif ch == "D":
             height -= 1
             if height < 0:
-                raise InvalidDyckWord(f"{word!r} dips below the axis")
+                raise InvalidDyckWord(f"letter {i} dips below the axis")
         else:
-            raise InvalidDyckWord(f"unexpected letter {ch!r}")
+            raise InvalidDyckWord(f"unexpected letter {ch!r} at position {i}")
     if height != 0:
-        raise InvalidDyckWord(f"{word!r} is not balanced")
+        raise InvalidDyckWord(f"the word ends at height {height}, not 0")
 
 
 def tree_from_dyck(word: str) -> BinaryTree:

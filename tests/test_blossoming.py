@@ -25,6 +25,7 @@ from tamari.blossoming import (
 )
 from tamari.errors import InvalidBlossoming, NotATree
 from tamari.intervals import (
+    dual_interval,
     enumerate_intervals,
     is_k_modern,
     is_modern,
@@ -142,15 +143,24 @@ def test_closure_ends_have_opposite_colors():
 
 
 def test_trusted_stretch_equals_the_validated_diagram():
-    # to_meandering builds its diagram unchecked; the validating constructor
-    # must accept the same arcs, on seeded draws and on their reflections and
-    # color switches
+    # each producer that builds its output unchecked must build what the
+    # validating constructor builds from the same data, on seeded draws with
+    # their reflections and color switches, and on every image with n <= 6
     rng = RandomSource(2718)
-    for n in (50, 1000):
-        b = sample_blossoming(n, rng)
-        for tree in (b, reflect(b), switch_colors(b)):
-            m = to_meandering(tree)
-            assert m == MeanderingDiagram(m.up, m.lo)
+    draws = [sample_blossoming(n, rng) for n in (50, 1000)]
+    trees = [t for b in draws for t in (b, reflect(b), switch_colors(b))]
+    trees += (b for n in range(1, 7) for _, b in images(n))
+    for tree in trees:
+        m = to_meandering(tree)
+        for d in (m, half_turn(m)):
+            assert d == MeanderingDiagram(d.up, d.lo)
+        interval = to_interval(tree)
+        for i in (interval, dual_interval(interval)):
+            assert i == make_interval(i.lower, i.upper)
+        image = from_interval(interval)
+        assert image.items == from_meandering(from_tree_pair(interval.lower, interval.upper)).items
+        for b in (reflect(tree), switch_colors(tree), image):
+            assert BlossomingTree(b.items).items == b.items
 
 
 # -------------------------------------------------------------- the bijection

@@ -51,9 +51,10 @@ def _source_env():
 
 @pytest.mark.parametrize("module", ["tamari", "tamari.cli"])
 def test_python_m_runs_the_command_line(module, tmp_path):
+    # -S leaves site-packages off the path: the package needs only the stdlib
     def python_m(*argv):
         return subprocess.run(
-            [sys.executable, "-m", module, *argv],
+            [sys.executable, "-S", "-m", module, *argv],
             cwd=tmp_path, env=_source_env(), capture_output=True, text=True,
         )
 
@@ -67,13 +68,19 @@ def test_python_m_runs_the_command_line(module, tmp_path):
 
 def test_large_objects_travel_as_files(tmp_path):
     # Linux caps one argv string at 128 KiB and an interval of size 50,000
-    # is 200 kB of text, so every object argument also takes @path and -
-    def tamari(*argv, stdin=None):
+    # is 200 kB of text, so every object argument also takes @path and -;
+    # a bad object of that size gives one short JSON error line
+    def tamari(*argv, stdin=None, code=0):
         done = subprocess.run(
             [sys.executable, "-m", "tamari", *argv],
             cwd=tmp_path, env=_source_env(), input=stdin, capture_output=True, text=True,
         )
-        assert (done.returncode, done.stderr) == (0, "")
+        assert done.returncode == code
+        if code:
+            [line] = done.stderr.splitlines()
+            assert done.stdout == "" and len(line.encode()) <= 200
+            return json.loads(line)["error"]
+        assert done.stderr == ""
         return done.stdout
 
     assert tamari("sample", "--size", "50000", "--seed", "5", "--out", "f") == ""
@@ -85,6 +92,14 @@ def test_large_objects_travel_as_files(tmp_path):
     assert tamari("unmap", "-", stdin=(tmp_path / "g").read_text()) == text
     assert tamari("render", "@f", "--out", "h.svg") == ""
     assert (tmp_path / "h.svg").read_bytes().startswith(b"<svg ")
+
+    n = 50_000  # lower arcs [t, t + 1] and [t + 1, t + 2] cross
+    crossing = {"n": n, "up": [0] * n, "lo": [*range(2, n + 1), n]}
+    (tmp_path / "bad.json").write_text(json.dumps(crossing))
+    assert tamari("unmap", "@bad.json", code=1) == "InvalidDiagram"
+    dips = "UD" * (n // 2) + "DU" + "UD" * (n // 2 - 1)
+    (tmp_path / "bad.txt").write_text(f"{dips}|{text[:-1].partition('|')[2]}")
+    assert tamari("classify", "@bad.txt", code=1) == "InvalidDyckWord"
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
