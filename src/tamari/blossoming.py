@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import InvalidBlossoming, NotATree
+from .errors import InvalidBlossoming, NotATree, UnsupportedSize
 from .intervals import TYPE_00, TYPE_10, TYPE_11, TamariInterval, _trusted_interval
 from .meandering import (
     MeanderingDiagram,
@@ -210,8 +210,11 @@ def from_meandering(m: MeanderingDiagram) -> BlossomingTree:
     Counterclockwise around black point k the items read: right bud, upper
     arcs by increasing white endpoint (blue), left bud, lower arcs by
     decreasing white endpoint (red).  Checks that ``m`` is a meandering
-    tree, whose unfolding is a valid blossoming tree by construction.
+    tree of size n >= 1, whose unfolding is a valid blossoming tree by
+    construction.
     """
+    if m.n < 1:
+        raise UnsupportedSize("blossoming trees have size >= 1")
     if not is_meandering_tree(m):
         raise NotATree("only meandering trees unfold to blossoming trees")
     return _unfold(m)
@@ -273,8 +276,6 @@ def closure(tree: BlossomingTree) -> tuple:
             node_edges[u].append(label)
             edge_nodes.setdefault(label, []).append(u)
     first, last = sorted(open_buds)
-    if first == last:  # the one node that unfolds the empty diagram
-        raise InvalidBlossoming("the two dangling buds share a node")
 
     # closure vertices have degree at most two and both dangling nodes
     # degree one, so this walk is the path from first to last

@@ -8,6 +8,13 @@ finally the interval of the unmarked tree.  Each tree of size n carries n
 marks and each mark corresponds to (n + 1) / 2 compositions on average,
 which cancels exactly.
 
+A sequence from outside is validated once, at the public entry points:
+``valid_shifts`` checks the composition and ``sequence_to_marked_tree``
+also checks the prefix condition.  A draw runs no validator.  It relies on
+three results: a sampled composition is valid, the cycle lemma gives exactly
+two shifts (still asserted), and a shift that meets the prefix condition
+decodes to a valid blossoming tree, which is built unchecked.
+
 Randomness is injected through RandomSource, a bundled SplitMix64
 generator: 64-bit state advanced by the golden-ratio constant and mixed
 by two xor-multiply rounds.  Identical seeds reproduce identical streams
@@ -138,6 +145,11 @@ def valid_shifts(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
     """
     seq = tuple(seq)
     _sequence_size(seq)
+    return _shifts(seq)
+
+
+def _shifts(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """``valid_shifts`` of a composition known to be valid."""
     out = [
         seq[3 * shift:] + seq[:3 * shift]
         for shift in _valid_shift_indices(_blocks(seq))
@@ -150,14 +162,12 @@ def valid_shifts(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
 # ------------------------------------------------- the marked-tree encoding
 
 
-def _validate_marked_sequence(seq: tuple[int, ...]) -> int:
-    n = _sequence_size(seq)
+def _validate_marked_sequence(seq: tuple[int, ...]) -> None:
     acc = 0
-    for i in range(n):
+    for i in range(_sequence_size(seq)):
         acc += seq[3 * i] + seq[3 * i + 1] + seq[3 * i + 2]
         if acc < i:
             raise InvalidSequence(f"prefix condition fails at block {i}")
-    return n
 
 
 def _other_color(color: str) -> str:
@@ -175,7 +185,13 @@ def sequence_to_marked_tree(seq) -> tuple[BlossomingTree, int]:
     condition with total n - 1 empties the stack exactly once before node n.
     """
     seq = tuple(seq)
-    n = _validate_marked_sequence(seq)
+    _validate_marked_sequence(seq)
+    return _decode(seq), 0
+
+
+def _decode(seq: tuple[int, ...]) -> BlossomingTree:
+    """The tree of ``sequence_to_marked_tree``, built unchecked."""
+    n = len(seq) // 3 - 1
     items: list[list] = []
     slots: list[tuple[int, int, str]] = []  # (node, slot, color at node)
     edge = 0
@@ -196,7 +212,7 @@ def sequence_to_marked_tree(seq) -> tuple[BlossomingTree, int]:
         for s in range(len(node) - 1, 0, -1):
             if node[s] is None:
                 slots.append((v, s, other if left + 1 < s < left + middle + 2 else color))
-    return BlossomingTree(items), 0
+    return BlossomingTree._trusted(tuple(map(tuple, items)))
 
 
 def marked_tree_to_sequence(tree: BlossomingTree, marked_edge: int) -> tuple[int, ...]:
@@ -231,11 +247,7 @@ def marked_tree_to_sequence(tree: BlossomingTree, marked_edge: int) -> tuple[int
 
 def sample_blossoming(n: int, rng: RandomSource) -> BlossomingTree:
     """Exactly uniform bicolored blossoming tree of size n."""
-    composition = sample_composition(n, rng)
-    shifts = valid_shifts(composition)
-    chosen = shifts[rng.below(2)]
-    tree, _ = sequence_to_marked_tree(chosen)
-    return tree
+    return _decode(_shifts(sample_composition(n, rng))[rng.below(2)])
 
 
 def sample_interval(n: int, rng: RandomSource) -> TamariInterval:

@@ -23,7 +23,7 @@ from tamari.blossoming import (
     to_meandering,
     trivial_bud_position_check,
 )
-from tamari.errors import InvalidBlossoming, NotATree
+from tamari.errors import InvalidBlossoming, NotATree, UnsupportedSize
 from tamari.intervals import (
     dual_interval,
     enumerate_intervals,
@@ -61,6 +61,8 @@ def test_unfold_size_one():
 def test_unfold_rejects_non_trees():
     with pytest.raises(NotATree):
         from_meandering(MeanderingDiagram((0, 0), (2, 2)))
+    with pytest.raises(UnsupportedSize):
+        from_meandering(MeanderingDiagram((), ()))
 
 
 def test_unfold_path_example():
@@ -159,7 +161,7 @@ def test_trusted_stretch_equals_the_validated_diagram():
             assert i == make_interval(i.lower, i.upper)
         image = from_interval(interval)
         assert image.items == from_meandering(from_tree_pair(interval.lower, interval.upper)).items
-        for b in (reflect(tree), switch_colors(tree), image):
+        for b in (tree, reflect(tree), switch_colors(tree), image):
             assert BlossomingTree(b.items).items == b.items
 
 
