@@ -21,6 +21,7 @@ have no symmetry, so this is faithful.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
 from .errors import InvalidBlossoming, NotATree, UnsupportedSize
@@ -194,11 +195,10 @@ def canonical_encode(tree: BlossomingTree) -> bytes:
 
 def to_debug_text(tree: BlossomingTree) -> str:
     """Verbose listing of the plane structure, one node per line."""
-    lines = []
-    for v, seq in enumerate(tree.items):
-        parts = ["bud" if it == BUD else f"{it[0]}{it[1]}" for it in seq]
-        lines.append(f"node {v}: " + ", ".join(parts))
-    return "\n".join(lines)
+    return "\n".join(
+        f"node {v}: " + ", ".join("bud" if it == BUD else f"{it[0]}{it[1]}" for it in seq)
+        for v, seq in enumerate(tree.items)
+    )
 
 
 # ------------------------------------------------------------------ unfolding
@@ -235,61 +235,77 @@ def _unfold(m: MeanderingDiagram) -> BlossomingTree:
 # -------------------------------------------------------------------- closure
 
 
-def closure(tree: BlossomingTree) -> tuple:
-    """The meandric path of the planar closure, as a flat tuple.
-
-    Along the counterclockwise contour buds open and legs (the two sides of
-    each edge midpoint) close; one stack pass from just after a lowest
-    prefix matches each leg to the nearest open bud.  By the closure theorem
-    two buds stay open, on distinct nodes, and the matches form a path through
-    all nodes and edge midpoints (not checked), returned from the smaller
-    dangling node: node ids at even positions, edge ids at odd positions.
-    """
-    items, ends = tree.items, tree._ends
-    contour = []  # (is_bud, node id or edge id)
-    height = lowest = start = 0
-    v, slot = 0, len(items[0]) - 1
-    for i in range(1, 4 * tree.n + 3):
+def _contour(tree: BlossomingTree) -> tuple[list[int], list[int], list]:
+    """The contour word: the 4n + 2 items met counterclockwise around the
+    tree from the first item of node 0, ``~v`` for a bud at node v and ``e``
+    for a leg (a crossing) of edge e, edges numbered 0..n-1 in order of first
+    crossing, away from node 0.  Also ``ends``, where ``ends[2e]`` and
+    ``ends[2e + 1]`` are the blue and the red end of edge e, and ``labels``,
+    where ``labels[e]`` is the id of edge e in ``tree.items``."""
+    items, table = tree.items, tree._ends
+    word, ends, labels, down = [], [], [], []
+    parent = [-1] * (tree.n + 1)
+    v, slot = 0, -1
+    for _ in range(4 * tree.n + 2):
         seq = items[v]
         slot = (slot + 1) % len(seq)
-        item = seq[slot]
-        if item == BUD:
-            contour.append((True, v))
-            height += 1
+        if seq[slot] == BUD:
+            word.append(~v)
+            continue
+        label, color = seq[slot]
+        v1, s1, v2, s2 = table[label]
+        if v == v1:
+            w, slot = v2, s2
         else:
-            e = item[0]
-            contour.append((False, e))
-            v1, s1, v2, s2 = ends[e]
-            v, slot = (v2, s2) if v == v1 else (v1, s1)
-            height -= 1
-            if height < lowest:
-                lowest, start = height, i
-
-    open_buds = []
-    node_edges: list[list] = [[] for _ in items]
-    edge_nodes: dict = {}  # edge ids are labels, not indices
-    for is_bud, label in contour[start:] + contour[:start]:
-        if is_bud:
-            open_buds.append(label)
+            w, slot = v1, s1
+        if w == parent[v]:
+            word.append(down.pop())
         else:
-            u = open_buds.pop()
-            node_edges[u].append(label)
-            edge_nodes.setdefault(label, []).append(u)
-    first, last = sorted(open_buds)
+            parent[w] = v
+            down.append(len(labels))
+            word.append(len(labels))
+            labels.append(label)
+            ends += (v, w) if color == BLUE else (w, v)
+        v = w
+    return word, ends, labels
 
-    # closure vertices have degree at most two and both dangling nodes
-    # degree one, so this walk is the path from first to last
-    path = [first]
-    v, e = first, node_edges[first][0]
-    while True:
-        w1, w2 = edge_nodes[e]
-        v = w2 if w1 == v else w1
-        path += (e, v)
-        if v == last:
-            break
-        f1, f2 = node_edges[v]
-        e = f2 if f1 == e else f1
-    return tuple(path)
+
+def _close(word: list[int]) -> list[int]:
+    """The meandric path closing a contour word, from the smaller dangling
+    node, in the word's letters: ``~v`` for node v, ``e`` for edge e.
+
+    One stack pass matches each leg to the nearest open bud before it; a leg
+    that finds none waits for the end of the word, as if the contour went
+    round again.  Letter x keeps its two closure neighbors at ``first[x]``
+    and ``second[x]``, node letters counting from the end.  By the closure
+    theorem two buds stay open, on distinct nodes, and the links form a
+    path through all letters (not checked)."""
+    first = [0] * (len(word) // 2)
+    second = [0] * (len(word) // 2)
+    buds, late = [], []
+    for t in chain(word, late):
+        if t < 0:
+            buds.append(t)
+        elif buds:
+            u = buds.pop()
+            first[u], second[u] = t, first[u]
+            first[t], second[t] = u, first[t]
+        else:
+            late.append(t)
+    last, x = sorted(buds)  # ~v falls as v grows, so x is the smaller node
+    path, before = [x], None
+    while x != last:
+        y = first[x]
+        before, x = x, second[x] if y == before else y
+        path.append(x)
+    return path
+
+
+def closure(tree: BlossomingTree) -> tuple:
+    """The meandric path of the planar closure, ``_close`` of the contour
+    word: node ids at even positions, edge ids at odd positions."""
+    word, _, labels = _contour(tree)
+    return tuple(~x if x < 0 else labels[x] for x in _close(word))
 
 
 def to_meandering(tree: BlossomingTree) -> MeanderingDiagram:
@@ -297,27 +313,19 @@ def to_meandering(tree: BlossomingTree) -> MeanderingDiagram:
 
     Blue half-edges go above the axis to the black point left of their white
     point, red ones below to the right.  So black point 0 is the blue end of
-    white point 1, which fixes the orientation of the path.  The closure of
-    a blossoming tree stretches to a meandering tree, so the diagram is
-    built without a second check.
-    """
-    path = closure(tree)
-    if tree.half_color(path[1], path[0]) != BLUE:
-        path = path[::-1]
-    n = tree.n
-    pos = [0] * (n + 1)
-    for k in range(n + 1):
-        pos[path[2 * k]] = k
-    up = [0] * n
-    lo = [0] * n
-    items, ends = tree.items, tree._ends
-    for t in range(1, n + 1):
-        v1, s1, v2, _ = ends[path[2 * t - 1]]
-        if items[v1][s1][1] == BLUE:
-            up[t - 1], lo[t - 1] = pos[v1], pos[v2]
-        else:
-            up[t - 1], lo[t - 1] = pos[v2], pos[v1]
-    return _trusted_diagram(tuple(up), tuple(lo))
+    white point 1, which orients the path; white point t has arcs to the
+    ends of the path's t-th edge, read from ``ends``.  Closures stretch to
+    meandering trees, so the diagram is built without a second check."""
+    word, ends, _ = _contour(tree)
+    path = _close(word)
+    if ends[2 * path[1]] != ~path[0]:
+        path.reverse()
+    pos = [0] * (tree.n + 1)
+    for k, x in enumerate(path[::2]):
+        pos[~x] = k
+    edges = path[1::2]
+    up = tuple([pos[ends[2 * e]] for e in edges])
+    return _trusted_diagram(up, tuple([pos[ends[2 * e + 1]] for e in edges]))
 
 
 # -------------------------------------------------------------- the bijection
@@ -370,19 +378,14 @@ def is_half_turn_symmetric(tree: BlossomingTree) -> bool:
 
 def bi_degree(tree: BlossomingTree, v: int) -> tuple[int, int]:
     """(blue, red) half-edge counts at node v."""
-    blue = sum(1 for it in tree.items[v] if it != BUD and it[1] == BLUE)
-    red = sum(1 for it in tree.items[v] if it != BUD and it[1] == RED)
-    return blue, red
+    colors = [it[1] for it in tree.items[v] if it != BUD]
+    return colors.count(BLUE), colors.count(RED)
 
 
 def node_type(tree: BlossomingTree, v: int) -> str:
     """Joint type of a node: 11 all blue, 00 all red, 10 mixed."""
     blue, red = bi_degree(tree, v)
-    if red == 0:
-        return TYPE_11
-    if blue == 0:
-        return TYPE_00
-    return TYPE_10
+    return TYPE_11 if red == 0 else TYPE_00 if blue == 0 else TYPE_10
 
 
 def is_synchronized_tree(tree: BlossomingTree) -> bool:
@@ -528,10 +531,8 @@ def trivial_bud_position_check(tree: BlossomingTree) -> bool:
     if (0, n) not in arcs:
         return False
     root_edge = 1 + arcs.index((0, n))
-    toward: dict[int, int] = {}
     queue = list(canonical.edge_ends(root_edge))
-    for v in queue:
-        toward[v] = root_edge
+    toward = dict.fromkeys(queue, root_edge)
     while queue:
         v = queue.pop()
         for e, w in canonical.neighbors(v):

@@ -43,7 +43,6 @@ from .intervals import (
 from .meandering import diagram_from_json, diagram_to_json, from_tree_pair, to_tree_pair
 from .render import _diagram_figure, render_blossoming, render_smooth, save
 from .sampler import RandomSource, sample_blossoming, sample_interval
-from .verify import run_checks
 
 __all__ = ["main", "run"]
 
@@ -131,15 +130,20 @@ def _cmd_count(args, out) -> int:
         value = count_self_dual(args.family, args.n)
     else:
         value = count(args.family, args.n)
-    if args.json:
-        payload = {"family": args.family.value, "n": args.n, "count": value}
-        if args.k is not None:
-            payload["k"] = args.k
-        if args.self_dual:
-            payload["self_dual"] = True
-        print(json.dumps(payload, separators=(",", ":")), file=out)
-    else:
-        print(value, file=out)
+    payload = {"family": args.family.value, "n": args.n, "count": value}
+    if args.k is not None:
+        payload["k"] = args.k
+    if args.self_dual:
+        payload["self_dual"] = True
+    # counts are exact: lift the int-to-str digit limit (Python >= 3.10.7) to print
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(json.dumps(payload, separators=(",", ":")) if args.json else value, file=out)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 
@@ -289,6 +293,8 @@ def _cmd_tally(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    from .verify import run_checks  # only this command loads the oracle suite
+
     results = run_checks(max_n=args.max_n)
     failed = [r for r in results if not r.passed]
     if args.json:

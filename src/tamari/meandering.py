@@ -15,6 +15,7 @@ underlying graph is a tree exactly when the pair is a Tamari interval.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from operator import add, sub
 
@@ -203,12 +204,10 @@ def flawed_pairs(m: MeanderingDiagram) -> list[tuple[int, int]]:
     up[t] < s - 1/2 < t - 1/2 < lo[s]; their absence characterizes
     meandering trees.
     """
-    out = []
-    for s in range(1, m.n + 1):
-        for t in range(s + 1, m.n + 1):
-            if m.up[t - 1] <= s - 1 and m.lo[s - 1] >= t:
-                out.append((s, t))
-    return out
+    return [
+        (s, t) for s in range(1, m.n + 1) for t in range(s + 1, m.n + 1)
+        if m.up[t - 1] <= s - 1 and m.lo[s - 1] >= t
+    ]
 
 
 def non_kreweras_pairs(m: MeanderingDiagram) -> list[tuple[int, int]]:
@@ -219,28 +218,22 @@ def non_kreweras_pairs(m: MeanderingDiagram) -> list[tuple[int, int]]:
     diagram stays non-crossing when the lower arcs are flipped above the
     axis.
     """
-    out = []
-    for s in range(1, m.n + 1):
-        for t in range(1, m.n + 1):
-            if s <= m.up[t - 1] < m.lo[s - 1] <= t - 1:
-                out.append((s, t))
-    return out
+    return [
+        (s, t) for s in range(1, m.n + 1) for t in range(1, m.n + 1)
+        if s <= m.up[t - 1] < m.lo[s - 1] <= t - 1
+    ]
 
 
 def upper_arc_counts(m: MeanderingDiagram) -> tuple[int, ...]:
     """Number of upper arcs at each black point 0..n."""
-    counts = [0] * (m.n + 1)
-    for u in m.up:
-        counts[u] += 1
-    return tuple(counts)
+    counts = Counter(m.up)
+    return tuple(counts[k] for k in range(m.n + 1))
 
 
 def lower_arc_counts(m: MeanderingDiagram) -> tuple[int, ...]:
     """Number of lower arcs at each black point 0..n."""
-    counts = [0] * (m.n + 1)
-    for v in m.lo:
-        counts[v] += 1
-    return tuple(counts)
+    counts = Counter(m.lo)
+    return tuple(counts[k] for k in range(m.n + 1))
 
 
 # ------------------------------------------------------------------ symmetry

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 
 from tamari.blossoming import (
@@ -142,6 +144,56 @@ def test_closure_ends_have_opposite_colors():
         for _, b in images(n):
             path = closure(b)
             assert b.half_color(path[1], path[0]) != b.half_color(path[-2], path[-1])
+
+
+def _dangling_nodes(tree):
+    """Oracle: the nodes of the two buds no leg closes.  Buds raise and legs
+    lower a height along the contour; from just after a lowest point, a bud
+    stays open when the height never falls back below it."""
+    steps = []  # the node of each bud, None for each leg
+    v, slot = 0, 0
+    for _ in range(4 * tree.n + 2):
+        item = tree.items[v][slot]
+        steps.append(v if item == BUD else None)
+        if item != BUD:
+            v = tree.across(item[0], v)
+            slot = tree.slot(item[0], v)
+        slot = (slot + 1) % len(tree.items[v])
+    heights = list(accumulate(-1 if s is None else 1 for s in steps))
+    start = heights.index(min(heights)) + 1
+    steps = steps[start:] + steps[:start]
+    heights = list(accumulate(-1 if s is None else 1 for s in steps))
+    found, low = [], len(steps)
+    for s, h in zip(reversed(steps), reversed(heights)):
+        if s is not None and low >= h:
+            found.append(s)
+        low = min(low, h)
+    return sorted(found)
+
+
+def test_closure_is_a_hamiltonian_path_ending_at_the_dangling_nodes():
+    # on seeded draws with their reflections and color switches, and on the
+    # unfoldings of their diagrams and of the size-10^5 comb interval: the
+    # closure alternates nodes and edges, visits each once and ends at the
+    # two dangling nodes; an unfolded diagram closes along its axis, black
+    # point k being node k and white point t edge t, and stretches back
+    rng = RandomSource(1717)
+    draws = [sample_blossoming(n, rng) for n in (50, 1000)]
+    trees = [t for b in draws for t in (b, reflect(b), switch_colors(b))]
+    n = 10**5
+    diagrams = [to_meandering(t) for t in trees]
+    diagrams.append(from_tree_pair(tree_from_dyck("UD" * n), tree_from_dyck("U" * n + "D" * n)))
+    for m in diagrams:
+        tree = from_meandering(m)
+        assert closure(tree) == (0,) + tuple(k for t in range(1, m.n + 1) for k in (t, t))
+        assert to_meandering(tree) == m
+        trees.append(tree)
+    for tree in trees:
+        path = closure(tree)
+        assert len(path) == 2 * tree.n + 1
+        assert sorted(path[::2]) == list(range(tree.n + 1))
+        assert sorted(path[1::2]) == sorted(tree._ends)
+        assert [path[0], path[-1]] == _dangling_nodes(tree)
 
 
 def test_trusted_stretch_equals_the_validated_diagram():

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from tamari.blossoming import from_interval
 from tamari.cli import _build_parser, run
+from tamari.counting import Family, count
 from tamari.intervals import enumerate_intervals, interval_to_text
 from tamari.render import render_blossoming
 from tamari.sampler import RandomSource, sample_interval
@@ -32,6 +34,25 @@ def test_count_refined_and_self_dual():
     code, text = invoke(["count", "--n", "5", "--self-dual", "--json"])
     assert code == 0
     assert json.loads(text) == {"family": "general", "n": 5, "count": 15, "self_dual": True}
+
+
+@pytest.mark.parametrize("family", [Family.GENERAL, Family.KREWERAS])
+def test_count_prints_exact_values_past_the_digit_limit(family):
+    # the count at n = 10^4 has about 9,800 digits, past Python's default
+    # int-to-str limit of 4,300; the command lifts the limit only to print
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(count(family, 10_000))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) > 4300
+    argv = ["count", "--family", family.value, "--n", "10000"]
+    assert invoke(argv) == (0, expected + "\n")
+    code, text = invoke(argv + ["--json"])
+    assert code == 0
+    assert text == f'{{"family":"{family.value}","n":10000,"count":{expected}}}\n'
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_map_command():

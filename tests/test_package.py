@@ -66,6 +66,17 @@ def test_python_m_runs_the_command_line(module, tmp_path):
     assert json.loads(line)["error"] == "UnsupportedSize"
 
 
+def test_the_command_line_loads_the_oracle_suite_only_to_verify(tmp_path):
+    # every command-line call imports tamari.cli; only `verify` needs
+    # tamari.verify, about an eighth of the package's source
+    code = "import sys, tamari.cli; print('tamari.verify' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        cwd=tmp_path, env=_source_env(), capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
 def test_large_objects_travel_as_files(tmp_path):
     # Linux caps one argv string at 128 KiB and an interval of size 50,000
     # is 200 kB of text, so every object argument also takes @path and -;

@@ -128,16 +128,6 @@ def test_bracket_decoding_examples():
         tree_from_bracket_vector((0, 2, 0))
 
 
-def test_bracket_decoding_brute_force_length_3():
-    valid = {bracket_vector(t) for t in all_trees(3)}
-    for v in itertools.product(range(3), repeat=3):
-        if v in valid:
-            assert bracket_vector(tree_from_bracket_vector(v)) == v
-        else:
-            with pytest.raises(InvalidBracketVector):
-                tree_from_bracket_vector(v)
-
-
 @pytest.mark.parametrize(
     "decode, encode",
     [
