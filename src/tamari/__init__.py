@@ -10,7 +10,6 @@ and an exact uniform random sampler driven by the cycle lemma.
 """
 
 from .errors import (
-    CycleLemmaViolation,
     InvalidBlossoming,
     InvalidBracketVector,
     InvalidDecomposition,

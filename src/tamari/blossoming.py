@@ -77,7 +77,7 @@ class BlossomingTree:
     equality and hashing go through the canonical encoding.
     """
 
-    __slots__ = ("items", "n", "_ends", "_canon", "_facing")
+    __slots__ = ("items", "n", "_ends", "_canon")
 
     def __init__(self, items: Iterable[Iterable]):
         items = tuple(tuple(seq) for seq in items)
@@ -132,7 +132,6 @@ class BlossomingTree:
         self.n = len(items) - 1
         self._ends = ends
         self._canon = None
-        self._facing = None
 
     # -- plane-structure accessors ------------------------------------------
 
@@ -473,16 +472,9 @@ def _facing_good_half_edges(tree: BlossomingTree, clockwise: bool) -> bool:
     or B(x -> z) for a neighbor z != u.  Rerooting from node 0 computes B
     on every directed edge, downward first and then upward, with a count of
     the true B(x -> .) per node; a path exists when some B(u -> x) holds
-    through a half-edge good at u.  The first call decides both directions,
-    one build of the links each, and keeps the two answers on the tree.
+    through a half-edge good at u.
     """
-    if tree._facing is None:
-        tree._facing = tuple(_facing_in(_good_links(tree, cw)) for cw in (False, True))
-    return tree._facing[clockwise]
-
-
-def _facing_in(links: _Links) -> bool:
-    """The rerooting pass of ``_facing_good_half_edges`` on one direction."""
+    links = _good_links(tree, clockwise)
     # (node, parent, good at node, good at parent) of each parent edge
     order = [(0, -1, False, False)]
     for x, p, _, _ in order:

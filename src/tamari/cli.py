@@ -57,11 +57,16 @@ def _family(text: str) -> Family:
         raise argparse.ArgumentTypeError(f"unknown family {text!r}; choose from {names}")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # subparsers inherit it: run prints one JSON line
+        raise ValueError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on the first ``run``; parsing
     leaves no state in it, so every call can share it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tamari",
         description="Tamari intervals, blossoming trees, counting and sampling",
     )
@@ -339,12 +344,12 @@ def run(argv: list[str], out=None) -> int:
     """Parse and execute; returns the exit code.  Errors go to stderr as JSON."""
     out = sys.stdout if out is None else out
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # only --help exits the parser
+            return int(exc.code or 0)
         return _COMMANDS[args.command](args, out)
-    except (TamariError, ValueError, KeyError, OSError) as exc:
+    except (TamariError, ArithmeticError, ValueError, KeyError, OSError) as exc:
         message = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(message, separators=(",", ":")), file=sys.stderr)
         return 1

@@ -83,7 +83,7 @@ def count(family: Family, n: int) -> int:
     if family is Family.SYNCHRONIZED:
         return _exact_div(2 * comb(3 * n, n - 1), n * (n + 1))
     if family is Family.MODERN:
-        return _exact_div(3 * 2 ** (n - 1) * comb(2 * n, n), (n + 1) * (n + 2))
+        return _exact_div(comb(2 * n, n) * 3 * 2 ** (n - 1), (n + 1) * (n + 2))
     if family is Family.NEW:
         return count(Family.MODERN, n - 1)
     if family is Family.MODERN_SYNCHRONIZED:
@@ -117,8 +117,8 @@ def count_self_dual(family: Family, n: int) -> int:
         return 0
     if family is Family.MODERN:
         if odd:
-            return _exact_div(2**k * comb(2 * k, k), k + 1)
-        return _exact_div(2 ** (k - 1) * comb(2 * k, k), k + 1)
+            return _exact_div(comb(2 * k, k) * 2**k, k + 1)
+        return _exact_div(comb(2 * k, k) * 2 ** (k - 1), k + 1)
     if family is Family.MODERN_SYNCHRONIZED:
         if odd:
             return _catalan(k)

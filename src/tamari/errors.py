@@ -49,9 +49,5 @@ class InvalidSequence(TamariError):
     """An integer sequence is not a valid marked-tree encoding."""
 
 
-class CycleLemmaViolation(TamariError):
-    """A composition did not have exactly two valid cyclic shifts."""
-
-
 class OracleDisagreement(TamariError):
     """Two independent classifiers disagreed; always indicates a bug."""

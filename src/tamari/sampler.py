@@ -8,12 +8,17 @@ finally the interval of the unmarked tree.  Each tree of size n carries n
 marks and each mark corresponds to (n + 1) / 2 compositions on average,
 which cancels exactly.
 
+The prefix condition (the first i + 1 blocks of three sum to at least i)
+is read off one walk W with steps block - 1: it holds when min W >= -1.
+Since W steps by at least -1 and would end at -2, exactly two rotations
+meet it (the cycle lemma), those at the first visits of min W + 1 and min W.
+
 A sequence from outside is validated once, at the public entry points:
 ``valid_shifts`` checks the composition and ``sequence_to_marked_tree``
 also checks the prefix condition.  A draw runs no validator.  It relies on
-three results: a sampled composition is valid, the cycle lemma gives exactly
-two shifts (still asserted), and a shift that meets the prefix condition
-decodes to a valid blossoming tree, which is built unchecked.
+two results: a sampled composition is valid, and a shift that meets the
+prefix condition decodes to a valid blossoming tree, which is built
+unchecked.
 
 Randomness is injected through RandomSource, a bundled SplitMix64
 generator: 64-bit state advanced by the golden-ratio constant and mixed
@@ -23,10 +28,8 @@ on every platform.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .blossoming import BLUE, BUD, RED, BlossomingTree, to_interval
-from .errors import CycleLemmaViolation, InvalidSequence, UnsupportedSize
+from .errors import InvalidSequence, UnsupportedSize
 from .intervals import TamariInterval
 
 __all__ = [
@@ -94,35 +97,29 @@ def sample_composition(n: int, rng: RandomSource) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def _blocks(seq: tuple[int, ...]) -> list[int]:
-    return [seq[3 * i] + seq[3 * i + 1] + seq[3 * i + 2] for i in range(len(seq) // 3)]
+def _walk(seq: tuple[int, ...]) -> list[int]:
+    """The block walk: W[k] sums block - 1 over the first k blocks, k = 0..n."""
+    walk = [0]
+    w = 0
+    for i in range(0, len(seq) - 3, 3):
+        w += seq[i] + seq[i + 1] + seq[i + 2] - 1
+        walk.append(w)
+    return walk
 
 
-def _valid_shift_indices(blocks: list[int]) -> list[int]:
-    """Block rotations whose every proper prefix sum stays >= its index.
+def _shift_indices(seq: tuple[int, ...]) -> tuple[int, int]:
+    """The two block rotations of a valid composition that meet the prefix
+    condition, in increasing order.
 
-    A rotation by s qualifies iff the walk with steps block - 1 satisfies
-    min over the next n partial sums >= -1, checked for all rotations at
-    once with a sliding-window minimum over the doubled prefix array.
+    Rotation s qualifies exactly when W[s] is below every earlier entry of
+    the walk and at most one above every later one.  The walk starts at 0,
+    falls by at most 1 per step and ends at W[n] = -1 - (last block), so its
+    minimum m is at most -1: the first visits of m + 1 and of m qualify, in
+    that order, and no other entry does.
     """
-    count = len(blocks)
-    window = count - 1
-    prefix = [0]
-    for b in blocks + blocks:
-        prefix.append(prefix[-1] + b - 1)
-    out = []
-    dq: deque[int] = deque()
-    for k in range(1, count + window):
-        while dq and prefix[dq[-1]] >= prefix[k]:
-            dq.pop()
-        dq.append(k)
-        shift = k - window
-        if shift >= 0:
-            while dq[0] <= shift:
-                dq.popleft()
-            if prefix[dq[0]] >= prefix[shift] - 1:
-                out.append(shift)
-    return out
+    walk = _walk(seq)
+    low = min(walk)
+    return walk.index(low + 1), walk.index(low)
 
 
 def _sequence_size(seq: tuple[int, ...]) -> int:
@@ -138,36 +135,14 @@ def _sequence_size(seq: tuple[int, ...]) -> int:
 
 
 def valid_shifts(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The cyclic block-shifts of a composition satisfying the prefix condition.
-
-    The cycle lemma forces exactly two of the n + 1 shifts to qualify;
-    anything else raises CycleLemmaViolation.
-    """
+    """The two cyclic block-shifts of a composition satisfying the prefix
+    condition, found by ``_shift_indices`` (the cycle lemma)."""
     seq = tuple(seq)
     _sequence_size(seq)
-    return _shifts(seq)
-
-
-def _shifts(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """``valid_shifts`` of a composition known to be valid."""
-    out = [
-        seq[3 * shift:] + seq[:3 * shift]
-        for shift in _valid_shift_indices(_blocks(seq))
-    ]
-    if len(out) != 2:
-        raise CycleLemmaViolation(f"{len(out)} valid shifts instead of 2")
-    return out
+    return [seq[3 * shift:] + seq[:3 * shift] for shift in _shift_indices(seq)]
 
 
 # ------------------------------------------------- the marked-tree encoding
-
-
-def _validate_marked_sequence(seq: tuple[int, ...]) -> None:
-    acc = 0
-    for i in range(_sequence_size(seq)):
-        acc += seq[3 * i] + seq[3 * i + 1] + seq[3 * i + 2]
-        if acc < i:
-            raise InvalidSequence(f"prefix condition fails at block {i}")
 
 
 def _other_color(color: str) -> str:
@@ -183,9 +158,13 @@ def sequence_to_marked_tree(seq) -> tuple[BlossomingTree, int]:
     slots; each node fills the top one.  Node 0 is the red end of the mark,
     and the node that finds the stack empty is its blue end: the prefix
     condition with total n - 1 empties the stack exactly once before node n.
+    The condition fails at the block before the walk's first -2.
     """
     seq = tuple(seq)
-    _validate_marked_sequence(seq)
+    _sequence_size(seq)
+    walk = _walk(seq)
+    if min(walk) < -1:
+        raise InvalidSequence(f"prefix condition fails at block {walk.index(-2) - 1}")
     return _decode(seq), 0
 
 
@@ -247,7 +226,9 @@ def marked_tree_to_sequence(tree: BlossomingTree, marked_edge: int) -> tuple[int
 
 def sample_blossoming(n: int, rng: RandomSource) -> BlossomingTree:
     """Exactly uniform bicolored blossoming tree of size n."""
-    return _decode(_shifts(sample_composition(n, rng))[rng.below(2)])
+    seq = sample_composition(n, rng)
+    shift = _shift_indices(seq)[rng.below(2)]
+    return _decode(seq[3 * shift:] + seq[:3 * shift])
 
 
 def sample_interval(n: int, rng: RandomSource) -> TamariInterval:

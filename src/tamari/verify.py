@@ -71,6 +71,14 @@ def _sizes(max_n: int, cap: int | None = None) -> range:
     return range(1, top + 1)
 
 
+def _compositions(n: int):
+    """Every weak composition of n - 1 into 3n + 3 parts, as gaps between bars."""
+    slots = 4 * n + 1
+    for bars in itertools.combinations(range(slots), 3 * n + 2):
+        ends = (-1, *bars, slots)
+        yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
+
+
 @_check("interval-counts")
 def _check_interval_counts(max_n: int):
     total = 0
@@ -341,14 +349,9 @@ def _check_reflection_involution(max_n: int):
 def _check_sampler(max_n: int):
     checked = 0
     for n in _sizes(max_n, 5):
-        # every composition of n - 1 into 3n + 3 parts, as gaps between bars
-        parts = 3 * n + 3
-        slots = n - 1 + parts - 1
         seqs = set()
         compositions = 0
-        for bars in itertools.combinations(range(slots), parts - 1):
-            ends = (-1, *bars, slots)
-            comp = tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
+        for comp in _compositions(n):
             compositions += 1
             seqs.update(sampler.valid_shifts(comp))
         if (n + 1) * len(seqs) != 2 * compositions:

@@ -1,4 +1,4 @@
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 
@@ -135,15 +135,6 @@ def test_closure_invariants():
             assert sorted(path[::2]) == list(range(n + 1))
             assert sorted(path[1::2]) == list(range(1, n + 1))
             assert path[0] < path[-1]
-
-
-def test_closure_ends_have_opposite_colors():
-    # exactly one orientation of the path starts on a blue half-edge, so
-    # to_meandering may pick it from the first edge alone
-    for n in range(1, 8):
-        for _, b in images(n):
-            path = closure(b)
-            assert b.half_color(path[1], path[0]) != b.half_color(path[-2], path[-1])
 
 
 def _dangling_nodes(tree):
@@ -333,82 +324,26 @@ def test_synchronized_trees_reduce_to_proper_two_coloring():
 
 
 def test_bicoloring_rigidity():
-    # forgetting colors and re-propagating from one half-edge yields exactly
-    # the original coloring and its global swap
+    # of the 2^n choices of a blue end per edge, the validating constructor
+    # accepts exactly the original coloring and its global swap
     for n in range(1, 5):
         for _, b in images(n):
-            valid = _recolorings(b)
-            assert len(valid) == 2
-            assert b.items in valid
-            assert switch_colors(b).items in valid
-
-
-def _recolorings(b):
-    first_edge = next(iter(b._ends))
-    out = []
-    for c0 in (BLUE, RED):
-        colors = {}
-        v0, w0 = b.edge_ends(first_edge)
-        colors[first_edge, v0] = c0
-        colors[first_edge, w0] = RED if c0 == BLUE else BLUE
-        queue = [v0, w0]
-        ok = True
-        while queue and ok:
-            v = queue.pop()
-            seq = b.items[v]
-            known = [
-                (slot, colors[it[0], v])
-                for slot, it in enumerate(seq)
-                if it != BUD and (it[0], v) in colors
-            ]
-            assert known  # nodes are queued only once an incident edge is colored
-            bud_slots = [i for i, it in enumerate(seq) if it == BUD]
-            i, j = bud_slots
-            groups = [
-                list(range(i + 1, j)),
-                list(range(j + 1, len(seq))) + list(range(i)),
-            ]
-            # a known color in one group forces the other group to the
-            # opposite color, so both groups resolve at once
-            group_colors = []
-            for group in groups:
-                cs = {c for s, c in known if s in group}
-                if len(cs) > 1:
-                    ok = False
-                group_colors.append(cs)
-            if not ok:
-                break
-            if group_colors[0] and group_colors[1] and group_colors[0] == group_colors[1]:
-                ok = False
-                break
-            for idx, group in enumerate(groups):
-                cs = group_colors[idx]
-                other = group_colors[1 - idx]
-                if not cs and other and groups[idx]:
-                    cs = {RED if other == {BLUE} else BLUE}
-                if not cs:
+            valid = set()
+            for blue_ends in product(*map(b.edge_ends, b._ends)):
+                blue = dict(zip(b._ends, blue_ends))
+                items = tuple(
+                    tuple(
+                        it if it == BUD else (it[0], BLUE if blue[it[0]] == v else RED)
+                        for it in seq
+                    )
+                    for v, seq in enumerate(b.items)
+                )
+                try:
+                    BlossomingTree(items)
+                except InvalidBlossoming:
                     continue
-                c = next(iter(cs))
-                for s in group:
-                    e = seq[s][0]
-                    if (e, v) not in colors:
-                        colors[e, v] = c
-                        w = [x for x in b.edge_ends(e) if x != v][0]
-                        colors[e, w] = RED if c == BLUE else BLUE
-                        queue.append(w)
-        if not ok:
-            continue
-        if len(colors) == 2 * b.n:
-            items = tuple(
-                tuple(it if it == BUD else (it[0], colors[it[0], v]) for it in seq)
-                for v, seq in enumerate(b.items)
-            )
-            try:
-                BlossomingTree(items)
-                out.append(items)
-            except InvalidBlossoming:
-                pass
-    return out
+                valid.add(items)
+            assert valid == {b.items, switch_colors(b).items}
 
 
 # ------------------------------------------------------ trivial-interval check

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from tamari.blossoming import BlossomingTree, from_interval, to_interval
@@ -15,26 +13,15 @@ from tamari.sampler import (
     valid_shifts,
 )
 
+# every weak composition of n - 1 into 3n + 3 parts, from tamari verify's oracles
+from tamari.verify import _compositions as all_compositions
+
 # upper 0.001 quantiles of the chi-square distribution
 CHI2_CRIT = {2: 13.8155, 8: 26.1245, 67: 108.5256}
 
 
 def chi_square(observed, expected):
     return sum((o - e) ** 2 / e for o, e in zip(observed, expected))
-
-
-def all_compositions(n):
-    # weak compositions of n - 1 into 3n + 3 parts via bar positions
-    parts = 3 * n + 3
-    total = n - 1
-    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
-        comp = []
-        prev = -1
-        for b in bars:
-            comp.append(b - prev - 1)
-            prev = b
-        comp.append(total + parts - 1 - prev - 1)
-        yield tuple(comp)
 
 
 # -------------------------------------------------------------- random source
@@ -87,22 +74,32 @@ def test_valid_shifts_size_one():
     assert valid_shifts((0,) * 6) == [(0,) * 6, (0,) * 6]
 
 
+def naive_failing_block(seq):
+    # the first block i whose prefix sum falls below i, or None
+    blocks = [sum(seq[i:i + 3]) for i in range(0, len(seq), 3)]
+    return next((i for i in range(len(blocks) - 1) if sum(blocks[: i + 1]) < i), None)
+
+
 def naive_valid_shifts(seq):
-    # direct per-rotation oracle for the windowed implementation
-    n = len(seq) // 3 - 1
-    blocks = [seq[3 * i] + seq[3 * i + 1] + seq[3 * i + 2] for i in range(n + 1)]
-    out = []
-    for shift in range(n + 1):
-        rotated = blocks[shift:] + blocks[:shift]
-        if all(sum(rotated[: i + 1]) >= i for i in range(n)):
-            out.append(seq[3 * shift:] + seq[:3 * shift])
-    return out
+    # direct per-rotation oracle for the block-walk implementation
+    rotations = [seq[i:] + seq[:i] for i in range(0, len(seq), 3)]
+    return [r for r in rotations if naive_failing_block(r) is None]
 
 
 def test_valid_shifts_against_naive_oracle():
-    for n in (2, 3, 4):
+    for n in (1, 2, 3, 4):
         for comp in all_compositions(n):
             assert valid_shifts(comp) == naive_valid_shifts(comp)
+            # the decoder accepts exactly those rotations and names the
+            # first failing block of every other one
+            for shift in range(n + 1):
+                rotated = comp[3 * shift:] + comp[:3 * shift]
+                block = naive_failing_block(rotated)
+                if block is None:
+                    sequence_to_marked_tree(rotated)
+                else:
+                    with pytest.raises(InvalidSequence, match=f"fails at block {block}$"):
+                        sequence_to_marked_tree(rotated)
     rng = RandomSource(77)
     for _ in range(50):
         comp = sample_composition(30, rng)
@@ -154,8 +151,6 @@ def test_encoding_round_trips_at_large_n_and_depth():
 def test_decode_rejects_bad_sequences():
     with pytest.raises(InvalidSequence):
         sequence_to_marked_tree((1, 0, 0, 0, 0, 0))  # sums to 1, not 0
-    with pytest.raises(InvalidSequence):
-        sequence_to_marked_tree((0, 0, 0, 0, 0, 0, 0, 0, 2))  # prefix fails
 
 
 # ------------------------------------------------------------------- sampling
