@@ -467,33 +467,25 @@ def _scan_paths(tree: BlossomingTree, clockwise: bool) -> list[tuple[int, ...]]:
 def _facing_good_half_edges(tree: BlossomingTree, clockwise: bool) -> bool:
     """True when ``_scan_paths(tree, clockwise)`` is non-empty, in linear time.
 
-    For an edge from u to x, B(u -> x) says that some node y on x's side
-    ends the path from u with a good half-edge: the half-edge at x is good,
-    or B(x -> z) for a neighbor z != u.  Rerooting from node 0 computes B
-    on every directed edge, downward first and then upward, with a count of
-    the true B(x -> .) per node; a path exists when some B(u -> x) holds
-    through a half-edge good at u.
+    Let T(h) be the side of h's edge that holds h's node.  Two good
+    half-edges face each other, ending one path, exactly when their sides
+    are disjoint.  Subtrees of a tree that meet pairwise share a node (the
+    Helly property), so no two face each other exactly when some node lies
+    in every T(h).  ``inside[x]`` counts the T(h) that hold x: at node 0,
+    the good halves at the parent end of their edge; across the edge from p
+    down to x, the half at p drops out and the half at x comes in.
     """
     links = _good_links(tree, clockwise)
     # (node, parent, good at node, good at parent) of each parent edge
     order = [(0, -1, False, False)]
     for x, p, _, _ in order:
         order.extend((y, x, good_y, good_x) for y, good_x, good_y in links[x] if y != p)
-    down = [False] * len(links)  # down[x]: B(parent -> x)
-    true_out = [0] * len(links)
-    for x, p, good_x, good_p in reversed(order[1:]):
-        if good_x or true_out[x]:
-            if good_p:
-                return True
-            down[x] = True
-            true_out[p] += 1
+    inside = [0] * len(links)
+    inside[0] = sum(good_p for _, _, _, good_p in order)
+    total = inside[0] + sum(good_x for _, _, good_x, _ in order)
     for x, p, good_x, good_p in order[1:]:
-        # true_out[p] already counts B(p -> parent of p)
-        if good_p or true_out[p] > down[x]:
-            if good_x:
-                return True
-            true_out[x] += 1
-    return False
+        inside[x] = inside[p] - good_p + good_x
+    return total not in inside
 
 
 def non_modern_paths(tree: BlossomingTree) -> list[tuple[int, ...]]:
@@ -513,27 +505,29 @@ def non_kreweras_paths(tree: BlossomingTree) -> list[tuple[int, ...]]:
 
 
 def trivial_bud_position_check(tree: BlossomingTree) -> bool:
-    """True when some edge joins the outermost black points of the closure
-    and, at every node, both buds directly follow the edge pointing toward
-    that central edge in counterclockwise order."""
-    m = to_meandering(tree)
-    canonical = _unfold(m)
-    n = canonical.n
-    arcs = list(zip(m.up, m.lo))
-    if (0, n) not in arcs:
+    """True when an edge joins the two ends of the closure and, at every
+    node, both buds directly follow the edge pointing toward that central
+    edge in counterclockwise order.
+
+    The ends of the closure stretch to black points 0 and n, so the central
+    edge is the diagram's arc from 0 to n; it and the edges toward it are
+    read on the tree itself.
+    """
+    path = closure(tree)
+    ends = (path[0], path[-1])
+    central = [e for e, w in tree.neighbors(ends[0]) if w == ends[1]]
+    if not central:
         return False
-    root_edge = 1 + arcs.index((0, n))
-    queue = list(canonical.edge_ends(root_edge))
-    toward = dict.fromkeys(queue, root_edge)
+    toward = dict.fromkeys(ends, central[0])
+    queue = list(ends)
     while queue:
         v = queue.pop()
-        for e, w in canonical.neighbors(v):
+        for e, w in tree.neighbors(v):
             if w not in toward:
                 toward[w] = e
                 queue.append(w)
-    for v in range(n + 1):
-        slot = canonical.slot(toward[v], v)
-        seq = canonical.items[v]
+    for v, seq in enumerate(tree.items):
+        slot = tree.slot(toward[v], v)
         if seq[(slot + 1) % len(seq)] != BUD or seq[(slot + 2) % len(seq)] != BUD:
             return False
     return True

@@ -73,6 +73,7 @@ def _catalan(n: int) -> int:
 
 def count(family: Family, n: int) -> int:
     """Number of size-n intervals in the family, by closed formula."""
+    _check_size(n)
     if family is Family.MODERN and n == 0:
         # convention making the rise bijection onto new intervals total
         return 1
@@ -100,6 +101,7 @@ def count_self_dual(family: Family, n: int) -> int:
     corresponding blossoming tree is centered on a node for even n and on
     an edge for odd n.
     """
+    _check_size(n)
     if family is Family.NEW:
         if n == 1:
             return 1
@@ -132,6 +134,7 @@ def count_self_dual(family: Family, n: int) -> int:
 
 def count_by_canopy_matches(n: int, k: int) -> int:
     """Intervals of size n whose two canopies agree in exactly k + 2 places."""
+    _check_size(n)
     if n < 1 or k < 0:
         raise UnsupportedSize("requires n >= 1 and k >= 0")
     return _exact_div(2 * comb(3 * n, k) * comb(n + 1, k + 2), n * (n + 1))
@@ -236,6 +239,8 @@ def _canopy_series_pair(cap: int) -> tuple[_Poly3, _Poly3]:
 
 
 MAX_SERIES_DEGREE = 9
+#: Largest n of the exact counts; their cost grows quadratically in n.
+MAX_COUNT_SIZE = 10**5
 
 
 def _check_degree(max_degree: int) -> None:
@@ -245,6 +250,11 @@ def _check_degree(max_degree: int) -> None:
         raise UnsupportedSize(
             f"degree {max_degree} exceeds the cap {MAX_SERIES_DEGREE}"
         )
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_COUNT_SIZE:
+        raise UnsupportedSize(f"size {n} exceeds the cap {MAX_COUNT_SIZE}")
 
 
 def trivariate_coefficients(max_degree: int) -> dict[tuple[int, int, int], int]:

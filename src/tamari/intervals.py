@@ -50,7 +50,6 @@ __all__ = [
     "dual_interval",
     "enumerate_intervals",
     "gaps",
-    "interval_from_json",
     "interval_from_text",
     "interval_to_json",
     "interval_to_text",
@@ -365,18 +364,14 @@ class NonCrossingPartition:
         for idx, block in enumerate(normalized):
             for x in block:
                 owner[x] = idx
-        # non-crossing: scanning with a stack of open blocks; a block that
-        # is open but not on top is buried under a block opened after it
+        # non-crossing: with a stack of open blocks, an x whose block is not
+        # on top must open it; otherwise a block opened later buries it
         stack: list[int] = []
-        opened = [False] * len(normalized)
         for x in range(1, n + 1):
             b = owner[x]
-            if stack and stack[-1] == b:
-                pass
-            elif opened[b]:
-                raise ValueError("blocks cross")
-            else:
-                opened[b] = True
+            if not stack or stack[-1] != b:
+                if x != normalized[b][0]:
+                    raise ValueError("blocks cross")
                 stack.append(b)
             if x == normalized[b][-1]:
                 stack.pop()
@@ -454,17 +449,3 @@ def interval_to_json(interval: TamariInterval) -> str:
         },
         separators=(",", ":"),
     )
-
-
-def interval_from_json(text: str) -> TamariInterval:
-    """Parse ``{"n": n, "lower": "<dyck>", "upper": "<dyck>"}``; ``n`` is optional."""
-    try:
-        data = json.loads(text)
-    except RecursionError:
-        raise ValueError("the JSON nests too deeply") from None
-    if not (isinstance(data, dict) and all(type(data.get(k)) is str for k in ("lower", "upper"))):
-        raise ValueError("expected an object with string fields 'lower' and 'upper'")
-    interval = TamariInterval(tree_from_dyck(data["lower"]), tree_from_dyck(data["upper"]))
-    if "n" in data and (type(data["n"]) is not int or data["n"] != interval.n):
-        raise ValueError("declared size does not match the trees")
-    return interval

@@ -197,12 +197,16 @@ def test_error_paths(capsys):
         ["count", "--n", "3", "--k", "0", "--family", "kreweras", "--json"],
         ["count", "--n", "3", "--k", "0", "--self-dual", "--json"],
         ["series", "--n", "-1"],
-        # math.comb overflows before any power of two is built
+        # sizes over the cap fail before any binomial is built
         ["count", "--n", str(10**19)],
         ["count", "--n", str(10**19), "--family", "modern"],
         ["count", "--n", str(10**19), "--family", "new"],
         ["count", "--n", str(10**23), "--family", "kreweras"],
         ["count", "--n", str(10**23), "--self-dual"],
+        ["count", "--n", "100001"],
+        ["count", "--n", str(10**18)],
+        ["count", "--n", str(10**18), "--k", str(5 * 10**17)],
+        ["count", "--n", str(10**19), "--self-dual"],
     ],
 )
 def test_bad_input_gives_one_json_error_line(argv, capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from tamari.blossoming import from_interval, reflect_interval
+from tamari.blossoming import from_interval, reflect_interval, to_interval
 from tamari.counting import (
     FAMILY_PREDICATES,
     PATTERN_CLASSIFIERS,
@@ -15,7 +15,7 @@ from tamari.counting import (
 )
 from tamari.errors import UnsupportedSize
 from tamari.intervals import is_infinitely_modern, is_kreweras, make_interval
-from tamari.sampler import RandomSource, sample_interval
+from tamari.sampler import RandomSource, sample_blossoming, sample_interval
 
 EXPECTED_GENERAL = [1, 3, 13, 68, 399, 2530, 16965, 118668]
 
@@ -181,7 +181,11 @@ def test_both_classifier_stacks_agree_at_sampler_scale():
     cases += [trivial, reflect_interval(trivial)]
     # members as well as non-members: a drawn interval is rarely in a family
     assert is_kreweras(cases[-2]) and is_infinitely_modern(cases[-1])
-    for interval in cases:
-        blossoming = from_interval(interval)
+    pairs = [(interval, from_interval(interval)) for interval in cases]
+    # trees as the sampler decodes them, numbered by no unfolding; small
+    # ones are often members
+    draws = [sample_blossoming(n, rng) for n in [4] * 200 + [1_000, 10_000]]
+    pairs += ((to_interval(blossoming), blossoming) for blossoming in draws)
+    for interval, blossoming in pairs:
         for family, on_tree in PATTERN_CLASSIFIERS.items():
             assert on_tree(blossoming) == FAMILY_PREDICATES[family](interval), family

@@ -9,7 +9,6 @@ from tamari.intervals import (
     dual_interval,
     enumerate_intervals,
     gaps,
-    interval_from_json,
     interval_from_text,
     interval_to_json,
     interval_to_text,
@@ -425,21 +424,3 @@ def test_text_round_trip():
 def test_json_round_trip():
     text = interval_to_json(SIZE2)
     assert text == '{"n":2,"lower":"UDUD","upper":"UUDD"}'
-    assert interval_from_json(text) == SIZE2
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "[1]",
-        '{"lower":1,"upper":"UD"}',
-        '{"lower":"UD"}',
-        '{"n":true,"lower":"UD","upper":"UD"}',
-        '{"n":1.0,"lower":"UD","upper":"UD"}',
-        pytest.param("[" * 100000, id="deeply-nested"),
-    ],
-)
-def test_json_parser_rejects_wrong_shapes(text):
-    # only an object with string trees and an int (not bool) size parses
-    with pytest.raises(ValueError):
-        interval_from_json(text)
