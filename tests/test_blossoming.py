@@ -127,6 +127,16 @@ def test_closure_size_one():
     assert closure(b) == (0, 1, 1)
 
 
+def test_closure_invariants():
+    for n in range(1, 8):
+        for _, b in images(n):
+            path = closure(b)
+            assert len(path) == 2 * n + 1
+            assert sorted(path[::2]) == list(range(n + 1))
+            assert sorted(path[1::2]) == list(range(1, n + 1))
+            assert path[0] < path[-1]
+
+
 def _dangling_nodes(tree):
     """Oracle: the nodes of the two buds no leg closes.  Buds raise and legs
     lower a height along the contour; from just after a lowest point, a bud
@@ -153,12 +163,11 @@ def _dangling_nodes(tree):
 
 
 def test_closure_is_a_hamiltonian_path_ending_at_the_dangling_nodes():
-    # on seeded draws with their reflections and color switches, on the
-    # unfoldings of their diagrams and of the size-10^5 comb interval, and on
-    # every image with n <= 7: the closure alternates nodes and edges, visits
-    # each once and ends at the two dangling nodes; an unfolded diagram
-    # closes along its axis, black point k being node k and white point t
-    # edge t, and stretches back
+    # on seeded draws with their reflections and color switches, and on the
+    # unfoldings of their diagrams and of the size-10^5 comb interval: the
+    # closure alternates nodes and edges, visits each once and ends at the
+    # two dangling nodes; an unfolded diagram closes along its axis, black
+    # point k being node k and white point t edge t, and stretches back
     rng = RandomSource(1717)
     draws = [sample_blossoming(n, rng) for n in (50, 1000)]
     trees = [t for b in draws for t in (b, reflect(b), switch_colors(b))]
@@ -170,7 +179,6 @@ def test_closure_is_a_hamiltonian_path_ending_at_the_dangling_nodes():
         assert closure(tree) == (0,) + tuple(k for t in range(1, m.n + 1) for k in (t, t))
         assert to_meandering(tree) == m
         trees.append(tree)
-    trees += (b for n in range(1, 8) for _, b in images(n))
     for tree in trees:
         path = closure(tree)
         assert len(path) == 2 * tree.n + 1
