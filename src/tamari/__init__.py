@@ -82,7 +82,6 @@ from .meandering import (
 )
 from .blossoming import (
     BlossomingTree,
-    canonical_encode,
     closure,
     from_interval,
     from_meandering,

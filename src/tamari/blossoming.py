@@ -14,9 +14,9 @@ contour, match buds to legs planarly, and stretch the resulting meandric
 path onto the axis (``to_meandering``).  Composing with the diagram
 drawing of tree pairs gives the bijection with Tamari intervals.
 
-Equality of blossoming trees is by canonical encoding, which is the
-serialized meandering diagram of the closure; bicolored blossoming trees
-have no symmetry, so this is faithful.
+Equality of blossoming trees is by the meandering diagram of their
+closure, which each tree computes once and keeps; bicolored blossoming
+trees have no symmetry, so this is faithful.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .meandering import (
     MeanderingDiagram,
     _trusted_diagram,
     _union,
-    diagram_to_json,
     from_tree_pair,
     is_meandering_tree,
     to_tree_pair,
@@ -42,7 +41,6 @@ __all__ = [
     "RED",
     "BlossomingTree",
     "bi_degree",
-    "canonical_encode",
     "closure",
     "from_interval",
     "from_meandering",
@@ -74,10 +72,11 @@ class BlossomingTree:
     node v, and ``_ends[e]`` is (v1, slot at v1, v2, slot at v2) for each
     edge e, edges in order of first appearance along the item sequences.
     Node and edge identifiers carry no meaning beyond this object;
-    equality and hashing go through the canonical encoding.
+    equality and hashing go through the closure diagram, which
+    ``to_meandering`` keeps in ``_diagram`` on its first call.
     """
 
-    __slots__ = ("items", "n", "_ends", "_canon")
+    __slots__ = ("items", "n", "_ends", "_diagram")
 
     def __init__(self, items: Iterable[Iterable]):
         items = tuple(tuple(seq) for seq in items)
@@ -131,7 +130,7 @@ class BlossomingTree:
         self.items = items
         self.n = len(items) - 1
         self._ends = ends
-        self._canon = None
+        self._diagram = None
 
     # -- plane-structure accessors ------------------------------------------
 
@@ -156,20 +155,15 @@ class BlossomingTree:
         ``items[v]``."""
         return tuple((it[0], self.across(it[0], v)) for it in self.items[v] if it != BUD)
 
-    # -- equality through the canonical encoding ----------------------------
-
-    def canonical(self) -> bytes:
-        if self._canon is None:
-            self._canon = diagram_to_json(to_meandering(self)).encode("ascii")
-        return self._canon
+    # -- equality through the closure diagram -------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, BlossomingTree):
             return NotImplemented
-        return self.canonical() == other.canonical()
+        return to_meandering(self) == to_meandering(other)
 
     def __hash__(self):
-        return hash(self.canonical())
+        return hash(to_meandering(self))
 
     def __repr__(self):
         return f"<BlossomingTree of size {self.n}>"
@@ -185,11 +179,6 @@ def _edge_table(items: tuple[tuple, ...]) -> dict:
             if it != BUD:
                 ends[it[0]] = ends.get(it[0], ()) + (v, slot)
     return ends
-
-
-def canonical_encode(tree: BlossomingTree) -> bytes:
-    """Injective byte encoding: the serialized closure diagram."""
-    return tree.canonical()
 
 
 def to_debug_text(tree: BlossomingTree) -> str:
@@ -314,7 +303,10 @@ def to_meandering(tree: BlossomingTree) -> MeanderingDiagram:
     point, red ones below to the right.  So black point 0 is the blue end of
     white point 1, which orients the path; white point t has arcs to the
     ends of the path's t-th edge, read from ``ends``.  Closures stretch to
-    meandering trees, so the diagram is built without a second check."""
+    meandering trees, so the diagram is built without a second check.  The
+    tree keeps it: later calls return the same object."""
+    if tree._diagram is not None:
+        return tree._diagram
     word, ends, _ = _contour(tree)
     path = _close(word)
     if ends[2 * path[1]] != ~path[0]:
@@ -324,7 +316,8 @@ def to_meandering(tree: BlossomingTree) -> MeanderingDiagram:
         pos[~x] = k
     edges = path[1::2]
     up = tuple([pos[ends[2 * e]] for e in edges])
-    return _trusted_diagram(up, tuple([pos[ends[2 * e + 1]] for e in edges]))
+    tree._diagram = _trusted_diagram(up, tuple([pos[ends[2 * e + 1]] for e in edges]))
+    return tree._diagram
 
 
 # -------------------------------------------------------------- the bijection

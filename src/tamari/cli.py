@@ -11,10 +11,12 @@ numeric output is exact; ``--json`` switches to machine-readable output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
 
+from .blossoming import to_meandering
 from .counting import (
     FAMILY_PREDICATES,
     Family,
@@ -224,19 +226,13 @@ def _cmd_sample(args, out) -> int:
         figure = render_blossoming(sample_blossoming(args.size, rng))
         _write_figure(figure, args.out, out)
         return 0
-    lines = []
-    for _ in range(args.count):
-        if args.format == "interval":
-            lines.append(interval_to_text(sample_interval(args.size, rng)))
-        else:
-            tree = sample_blossoming(args.size, rng)
-            lines.append(tree.canonical().decode("ascii"))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        out.write(text)
+    with open(args.out, "w") if args.out else contextlib.nullcontext(out) as handle:
+        for _ in range(args.count):
+            if args.format == "interval":
+                line = interval_to_text(sample_interval(args.size, rng))
+            else:
+                line = diagram_to_json(to_meandering(sample_blossoming(args.size, rng)))
+            handle.write(line + "\n")
     return 0
 
 

@@ -259,15 +259,16 @@ def decompose(
     Removing the white point of that arc leaves a meandering tree on the
     points left of it, another on the points right of it, and the black
     point j (in the right part's coordinates) that carried the removed
-    lower arc.  Inverse of compose.
+    lower arc.  Inverse of compose.  Only ``m`` is checked: the lemma makes
+    both parts meandering trees, so they are built without a check.
     """
     if m.n < 1:
         raise UnsupportedSize("cannot decompose the empty diagram")
     if not is_meandering_tree(m):
         raise NotATree("decompose is defined on meandering trees")
     t_star = max(t for t in range(1, m.n + 1) if m.up[t - 1] == 0)
-    left = MeanderingDiagram(m.up[: t_star - 1], m.lo[: t_star - 1])
-    right = MeanderingDiagram(
+    left = _trusted_diagram(m.up[: t_star - 1], m.lo[: t_star - 1])
+    right = _trusted_diagram(
         tuple(u - t_star for u in m.up[t_star:]),
         tuple(v - t_star for v in m.lo[t_star:]),
     )

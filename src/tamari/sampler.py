@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+#: Largest n a draw accepts; a draw's memory grows linearly, to about 0.7 GiB at the cap.
+MAX_SAMPLE_SIZE = 10**6
 
 
 class RandomSource:
@@ -61,9 +63,10 @@ class RandomSource:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), exact by rejection."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        """Uniform integer in [0, bound), exact by rejection; one 64-bit
+        draw serves each try, so the bound is at most 2**64."""
+        if not 0 < bound <= 1 << 64:
+            raise ValueError("bound must be between 1 and 2**64")
         bits = (bound - 1).bit_length()
         if bits == 0:
             return 0
@@ -85,6 +88,8 @@ def sample_composition(n: int, rng: RandomSource) -> tuple[int, ...]:
     """
     if n < 1:
         raise UnsupportedSize("compositions are sampled for n >= 1")
+    if n > MAX_SAMPLE_SIZE:
+        raise UnsupportedSize(f"size {n} exceeds the sampling cap {MAX_SAMPLE_SIZE}")
     total = 4 * n + 1
     k = n - 1
     chosen: set[int] = set()

@@ -356,15 +356,13 @@ def _check_sampler(max_n: int):
             seqs.update(sampler.valid_shifts(comp))
         if (n + 1) * len(seqs) != 2 * compositions:
             raise _Failed(f"cycle lemma count fails at n = {n}")
-        counts: Counter[bytes] = Counter()
+        counts: Counter[blossoming.BlossomingTree] = Counter()
         for seq in seqs:
             tree, mark = sampler.sequence_to_marked_tree(seq)
             if sampler.marked_tree_to_sequence(tree, mark) != seq:
                 raise _Failed(f"encoding round trip fails on {seq}")
-            counts[blossoming.canonical_encode(tree)] += 1
-        expected = {
-            blossoming.canonical_encode(tree) for _, tree in _images(n)
-        }
+            counts[tree] += 1
+        expected = {tree for _, tree in _images(n)}
         if set(counts) != expected or any(v != n for v in counts.values()):
             raise _Failed(f"marked multiset fails at n = {n}")
         checked += len(seqs)

@@ -6,11 +6,12 @@ Each test prints a single PASS line on success (visible with -s or in the
 captured output); any failure is a hard assert.
 """
 
+import io
 import re
 
 import pytest
 
-from tamari import verify
+from tamari import cli, verify
 from tamari.blossoming import from_interval
 from tamari.counting import Family, count
 from tamari.errors import UnsupportedSize
@@ -73,6 +74,22 @@ def test_a_check_that_checked_nothing_does_not_pass(monkeypatch):
     monkeypatch.setitem(verify._CHECKS, "interval-counts", lambda max_n: (0, "no items"))
     [result] = run_checks(1, ["interval-counts"])
     assert not result.passed and result.detail == "checked nothing"
+
+    def fails(max_n):
+        raise verify._Failed("count mismatch at n = 1")
+
+    monkeypatch.setitem(verify._CHECKS, "interval-counts", fails)
+    [result] = run_checks(1, ["interval-counts"])
+    assert not result.passed and result.checked == 0
+    assert result.detail == "count mismatch at n = 1"
+    out = io.StringIO()
+    assert cli.run(["verify", "--max-n", "1"], out=out) == 1
+    lines = out.getvalue().splitlines()
+    assert "FAIL  interval-counts  (count mismatch at n = 1)" in lines
+    assert lines[-1] == "17/18 checks passed at max size 1"
+    monkeypatch.setitem(verify._CHECKS, "interval-counts", lambda max_n: 1 / 0)
+    [result] = run_checks(1, ["interval-counts"])
+    assert not result.passed and result.detail.startswith("exception:")
 
 
 def test_criterion_1_interval_counts():

@@ -8,7 +8,6 @@ from tamari.blossoming import (
     RED,
     BlossomingTree,
     bi_degree,
-    canonical_encode,
     closure,
     from_interval,
     from_meandering,
@@ -116,6 +115,18 @@ def test_validation_rejects_bad_structures():
     # a single node is not allowed
     with pytest.raises(InvalidBlossoming):
         BlossomingTree([[BUD, BUD]])
+    with pytest.raises(InvalidBlossoming, match="bad item 'x'"):
+        BlossomingTree([[BUD, BUD, "x"], [BUD, BUD, (1, RED)]])
+    with pytest.raises(InvalidBlossoming, match="bad color 'G'"):
+        BlossomingTree([[BUD, BUD, (1, "G")], [BUD, BUD, (1, RED)]])
+    with pytest.raises(InvalidBlossoming, match="1 edges on 3 nodes"):
+        BlossomingTree([[BUD, BUD, (1, BLUE)], [BUD, BUD, (1, RED)], [BUD, BUD]])
+    with pytest.raises(InvalidBlossoming, match="edge 1 has 3 half-edges"):
+        BlossomingTree([[BUD, BUD, (1, BLUE), (1, BLUE)], [BUD, BUD, (1, RED)]])
+    with pytest.raises(InvalidBlossoming, match="contain a cycle"):
+        BlossomingTree(
+            [[BUD, BUD, (1, BLUE), (2, BLUE)], [BUD, BUD, (1, RED), (2, RED)], [BUD, BUD]]
+        )
 
 
 # -------------------------------------------------------------------- closure
@@ -219,8 +230,29 @@ def test_bijection_size_one():
 
 
 def test_bijection_injective_at_four():
-    encodings = {canonical_encode(b) for _, b in images(4)}
-    assert len(encodings) == 68
+    assert len({b for _, b in images(4)}) == 68
+
+
+def test_a_tree_is_known_by_its_closure_diagram():
+    rng = RandomSource(5)
+    interval, b = images(3)[7]
+    fresh = [
+        from_meandering(to_meandering(b)),
+        from_interval(interval),
+        switch_colors(b),
+        reflect(b),
+        sample_blossoming(4, rng),
+    ]
+    # no producer stores a diagram, so comparing closes each tree itself
+    for tree in fresh:
+        assert tree._diagram is None
+        assert to_meandering(tree) is to_meandering(tree) is tree._diagram
+    pairs = [p for n in range(1, 5) for p in images(n)]
+    trees = [t for _, b in pairs for t in (b, reflect(b), switch_colors(b))]
+    for x in trees:
+        assert hash(x) == hash(to_meandering(x))
+        for y in trees:
+            assert (x == y) == (to_meandering(x) == to_meandering(y))
 
 
 # ----------------------------------------------------------------- involutions

@@ -109,6 +109,14 @@ def test_sample_command_deterministic():
         assert json.loads(line)["n"] == 3
 
 
+def test_sample_out_writes_the_bytes_of_stdout(tmp_path):
+    argv = ["sample", "--size", "5", "--count", "40", "--seed", "3"]
+    code, text = invoke(argv)
+    path = tmp_path / "sample.txt"
+    assert code == 0 and invoke(argv + ["--out", str(path)]) == (0, "")
+    assert path.read_bytes() == text.encode()
+
+
 def test_sample_svg(tmp_path):
     path = tmp_path / "sample.svg"
     code, _ = invoke(
@@ -142,6 +150,15 @@ def test_series_command():
     assert code == 0
     rows = json.loads(text)
     assert {"i": 1, "j": 1, "m": 0, "count": 1} in rows
+    code, text = invoke(["series", "--n", "3"])
+    assert code == 0
+    assert text.splitlines() == [
+        "  i  j  m  count",
+        "  1  1  0  1",
+        "  1  1  1  1",
+        "  1  2  0  1",
+        "  2  1  0  1",
+    ]
 
 
 def test_tally_command():
@@ -207,6 +224,11 @@ def test_error_paths(capsys):
         ["count", "--n", str(10**18)],
         ["count", "--n", str(10**18), "--k", str(5 * 10**17)],
         ["count", "--n", str(10**19), "--self-dual"],
+        ["sample", "--size", "3", "--format", "svg", "--count", "2"],
+        # sizes over the sampling cap fail before any draw
+        ["sample", "--size", "1000001"],
+        ["sample", "--size", str(10**21)],
+        ["sample", "--size", str(10**8)],
     ],
 )
 def test_bad_input_gives_one_json_error_line(argv, capsys):

@@ -249,6 +249,17 @@ def test_decompose_size_one():
     assert compose(left, right, j) == m
 
 
+def test_decomposed_parts_are_meandering_trees():
+    # decompose builds its parts unchecked; hold them to the validating
+    # constructor on every image up to size 7
+    for n in range(1, 8):
+        for interval in enumerate_intervals(n):
+            left, right, _ = decompose(from_tree_pair(interval.lower, interval.upper))
+            for part in (left, right):
+                assert MeanderingDiagram(part.up, part.lo) == part
+                assert is_meandering_tree(part)
+
+
 def test_decompose_requires_tree():
     with pytest.raises(NotATree):
         decompose(from_tree_pair(T_A, T_B))

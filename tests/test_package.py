@@ -1,5 +1,6 @@
-"""Guards for deletions: every export names something that exists, and
-every demo still runs."""
+"""Guards for deletions and boundaries: every export names something that
+exists, every public entry point rejects what it cannot take, and every
+demo still runs."""
 
 import json
 import os
@@ -42,6 +43,54 @@ def test_package_exports_are_module_exports():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert sorted(public - exported) == []
+
+
+Diagram = meandering.MeanderingDiagram
+ONE, TWO = (trees.enumerate_binary_trees(n)[0] for n in (1, 2))
+
+REJECTIONS = {
+    "diagram-lengths": (lambda: Diagram((0,), ()), errors.InvalidDiagram),
+    "diagram-json-size": (
+        lambda: meandering.diagram_from_json('{"n":3,"up":[0],"lo":[1]}'), errors.InvalidDiagram
+    ),
+    # two arcs join black points 0 and 2: a cycle
+    "compose-non-tree": (
+        lambda: meandering.compose(Diagram((0, 0), (2, 2)), Diagram((), ()), 0),
+        errors.InvalidDecomposition,
+    ),
+    "valid-shifts-negative": (
+        lambda: sampler.valid_shifts((-1, 0, 0, 0, 0, 1)), errors.InvalidSequence
+    ),
+    "below-zero": (lambda: sampler.RandomSource(1).below(0), ValueError),
+    "below-past-64-bits": (lambda: sampler.RandomSource(1).below(2**64 + 1), ValueError),
+    "binary-tree-one-child": (lambda: trees.BinaryTree(trees.LEAF, None), ValueError),
+    "canopy-leaf": (lambda: trees.canopy(trees.LEAF), errors.UnsupportedSize),
+    "enumerate-negative": (lambda: trees.enumerate_binary_trees(-1), ValueError),
+    "tree-pair-leaves": (
+        lambda: meandering.from_tree_pair(trees.LEAF, trees.LEAF), errors.UnsupportedSize
+    ),
+    "decompose-empty": (lambda: meandering.decompose(Diagram((), ())), errors.UnsupportedSize),
+    "k-modern-negative": (
+        lambda: intervals.is_k_modern(intervals.make_interval(ONE, ONE), -1), ValueError
+    ),
+    "smooth-unequal-sizes": (lambda: intervals.smooth_flawed_pairs(ONE, TWO), errors.SizeMismatch),
+    "self-dual-zero": (
+        lambda: counting.count_self_dual(counting.Family.GENERAL, 0), errors.UnsupportedSize
+    ),
+    "canopy-matches-negative": (
+        lambda: counting.count_by_canopy_matches(1, -1), errors.UnsupportedSize
+    ),
+    "synchronized-types-zero": (
+        lambda: counting.count_synchronized_by_types(0, 1), errors.UnsupportedSize
+    ),
+    "narayana-zero": (lambda: counting.narayana(0, 1), errors.UnsupportedSize),
+}
+
+
+@pytest.mark.parametrize("call, error", REJECTIONS.values(), ids=list(REJECTIONS))
+def test_public_entry_points_reject_what_they_cannot_take(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def _source_env():

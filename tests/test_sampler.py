@@ -4,6 +4,7 @@ from tamari.blossoming import BlossomingTree, from_interval, to_interval
 from tamari.errors import InvalidSequence, UnsupportedSize
 from tamari.intervals import enumerate_intervals, interval_to_text
 from tamari.sampler import (
+    MAX_SAMPLE_SIZE,
     RandomSource,
     marked_tree_to_sequence,
     sample_blossoming,
@@ -35,7 +36,7 @@ def test_random_source_is_deterministic():
 
 def test_random_source_below_bounds():
     rng = RandomSource(7)
-    for bound in (1, 2, 3, 10, 68, 1000):
+    for bound in (1, 2, 3, 10, 68, 1000, 2**64):
         for _ in range(200):
             assert 0 <= rng.below(bound) < bound
 
@@ -201,3 +202,5 @@ def test_sampling_golden_fixture():
 def test_sample_requires_positive_size():
     with pytest.raises(UnsupportedSize):
         sample_interval(0, RandomSource(1))
+    with pytest.raises(UnsupportedSize, match="cap"):
+        sample_interval(MAX_SAMPLE_SIZE + 1, RandomSource(1))
