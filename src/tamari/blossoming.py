@@ -6,13 +6,14 @@ blue or red so that no plain edge is monochromatic and, at every node, the
 two buds separate the blue half-edges from the red ones.
 
 Plane structure is stored as one counterclockwise cyclic item sequence per
-node; an item is either the bud marker or a pair (edge id, color).  A
-meandering tree unfolds into such a tree by granting every black point a
-left and a right bud (``from_meandering``); the inverse direction closes
-the tree back up: subdivide every plain edge, walk the counterclockwise
-contour, match buds to legs planarly, and stretch the resulting meandric
-path onto the axis (``to_meandering``).  Composing with the diagram
-drawing of tree pairs gives the bijection with Tamari intervals.
+node; an item is either the bud marker or a pair (edge id, color), the edge
+ids of a tree of size n being 0..n-1 whoever builds it.  A meandering tree
+unfolds into such a tree by granting every black point a left and a right
+bud (``from_meandering``); the inverse direction closes the tree back up:
+subdivide every plain edge, walk the counterclockwise contour, match buds
+to legs planarly, and stretch the resulting meandric path onto the axis
+(``to_meandering``).  Composing with the diagram drawing of tree pairs
+gives the bijection with Tamari intervals.
 
 Equality of blossoming trees is by the meandering diagram of their
 closure, which each tree computes once and keeps; bicolored blossoming
@@ -70,9 +71,8 @@ class BlossomingTree:
 
     ``items[v]`` is the counterclockwise cyclic sequence of items around
     node v, and ``_ends[e]`` is (v1, slot at v1, v2, slot at v2) for each
-    edge e, edges in order of first appearance along the item sequences.
-    Node and edge identifiers carry no meaning beyond this object;
-    equality and hashing go through the closure diagram, which
+    edge id e, one of the ints 0..n-1: the constructor rejects any other
+    id.  Equality and hashing go through the closure diagram, which
     ``to_meandering`` keeps in ``_diagram`` on its first call.
     """
 
@@ -95,6 +95,8 @@ class BlossomingTree:
                 for it in group:
                     if not (isinstance(it, tuple) and len(it) == 2):
                         raise InvalidBlossoming(f"bad item {it!r} at node {v}")
+                    if type(it[0]) is not int or not 0 <= it[0] < len(items) - 1:
+                        raise InvalidBlossoming(f"bad edge id {it[0]!r} at node {v}")
                     if it[1] not in (BLUE, RED):
                         raise InvalidBlossoming(f"bad color {it[1]!r} at node {v}")
                     seen.add(it[1])
@@ -104,12 +106,8 @@ class BlossomingTree:
             if colors[0] and colors[0] == colors[1]:
                 raise InvalidBlossoming(f"buds of node {v} do not separate the colors")
         ends = _edge_table(items)
-        if len(ends) != len(items) - 1:
-            raise InvalidBlossoming(
-                f"{len(ends)} edges on {len(items)} nodes cannot form a tree"
-            )
         parent = list(range(len(items)))
-        for e, sides in ends.items():
+        for e, sides in enumerate(ends):
             if len(sides) != 4:
                 raise InvalidBlossoming(f"edge {e} has {len(sides) // 2} half-edges")
             v1, s1, v2, s2 = sides
@@ -126,7 +124,7 @@ class BlossomingTree:
         tree._set(items, _edge_table(items))
         return tree
 
-    def _set(self, items: tuple[tuple, ...], ends: dict) -> None:
+    def _set(self, items: tuple[tuple, ...], ends: list) -> None:
         self.items = items
         self.n = len(items) - 1
         self._ends = ends
@@ -169,15 +167,15 @@ class BlossomingTree:
         return f"<BlossomingTree of size {self.n}>"
 
 
-def _edge_table(items: tuple[tuple, ...]) -> dict:
-    """Edge id to the flat tuple (node, slot, node, slot) of its half-edges,
-    edges in order of first appearance along the nodes' item sequences; an
-    edge of a valid tree has exactly two half-edges."""
-    ends: dict = {}
+def _edge_table(items: tuple[tuple, ...]) -> list:
+    """Entry e is the flat tuple (node, slot, node, slot) of the half-edges
+    of edge e, for the edge ids 0..n-1; an edge of a valid tree has exactly
+    two half-edges, the one at the smaller node first."""
+    ends: list = [()] * (len(items) - 1)
     for v, seq in enumerate(items):
         for slot, it in enumerate(seq):
             if it != BUD:
-                ends[it[0]] = ends.get(it[0], ()) + (v, slot)
+                ends[it[0]] += (v, slot)
     return ends
 
 
@@ -197,9 +195,9 @@ def from_meandering(m: MeanderingDiagram) -> BlossomingTree:
 
     Counterclockwise around black point k the items read: right bud, upper
     arcs by increasing white endpoint (blue), left bud, lower arcs by
-    decreasing white endpoint (red).  Checks that ``m`` is a meandering
-    tree of size n >= 1, whose unfolding is a valid blossoming tree by
-    construction.
+    decreasing white endpoint (red); edge e is white point e + 1.  Checks
+    that ``m`` is a meandering tree of size n >= 1, whose unfolding is a
+    valid blossoming tree by construction.
     """
     if m.n < 1:
         raise UnsupportedSize("blossoming trees have size >= 1")
@@ -212,9 +210,9 @@ def _unfold(m: MeanderingDiagram) -> BlossomingTree:
     """``from_meandering`` without the tree test."""
     uppers: list[list] = [[BUD] for _ in range(m.n + 1)]
     lowers: list[list] = [[] for _ in range(m.n + 1)]
-    for t, (u, v) in enumerate(zip(m.up, m.lo), 1):
-        uppers[u].append((t, BLUE))
-        lowers[v].append((t, RED))
+    for e, (u, v) in enumerate(zip(m.up, m.lo)):
+        uppers[u].append((e, BLUE))
+        lowers[v].append((e, RED))
     return BlossomingTree._trusted(
         tuple((*up, BUD, *low[::-1]) for up, low in zip(uppers, lowers))
     )
@@ -223,16 +221,13 @@ def _unfold(m: MeanderingDiagram) -> BlossomingTree:
 # -------------------------------------------------------------------- closure
 
 
-def _contour(tree: BlossomingTree) -> tuple[list[int], list[int], list]:
+def _contour(tree: BlossomingTree) -> tuple[list[int], list[int]]:
     """The contour word: the 4n + 2 items met counterclockwise around the
-    tree from the first item of node 0, ``~v`` for a bud at node v and ``e``
-    for a leg (a crossing) of edge e, edges numbered 0..n-1 in order of first
-    crossing, away from node 0.  Also ``ends``, where ``ends[2e]`` and
-    ``ends[2e + 1]`` are the blue and the red end of edge e, and ``labels``,
-    where ``labels[e]`` is the id of edge e in ``tree.items``."""
+    tree from the first item of node 0, ``~v`` for a bud at node v and the
+    id e in 0..n-1 for a leg (a crossing) of edge e.  Also ``ends``, where
+    ``ends[2e]`` and ``ends[2e + 1]`` are the blue and the red end of e."""
     items, table = tree.items, tree._ends
-    word, ends, labels, down = [], [], [], []
-    parent = [-1] * (tree.n + 1)
+    word, ends = [], [0] * (2 * tree.n)
     v, slot = 0, -1
     for _ in range(4 * tree.n + 2):
         seq = items[v]
@@ -240,22 +235,12 @@ def _contour(tree: BlossomingTree) -> tuple[list[int], list[int], list]:
         if seq[slot] == BUD:
             word.append(~v)
             continue
-        label, color = seq[slot]
-        v1, s1, v2, s2 = table[label]
-        if v == v1:
-            w, slot = v2, s2
-        else:
-            w, slot = v1, s1
-        if w == parent[v]:
-            word.append(down.pop())
-        else:
-            parent[w] = v
-            down.append(len(labels))
-            word.append(len(labels))
-            labels.append(label)
-            ends += (v, w) if color == BLUE else (w, v)
-        v = w
-    return word, ends, labels
+        e, color = seq[slot]
+        word.append(e)
+        ends[2 * e + (color == RED)] = v
+        v1, s1, v2, s2 = table[e]
+        v, slot = (v2, s2) if v == v1 else (v1, s1)
+    return word, ends
 
 
 def _close(word: list[int]) -> list[int]:
@@ -292,8 +277,7 @@ def _close(word: list[int]) -> list[int]:
 def closure(tree: BlossomingTree) -> tuple:
     """The meandric path of the planar closure, ``_close`` of the contour
     word: node ids at even positions, edge ids at odd positions."""
-    word, _, labels = _contour(tree)
-    return tuple(~x if x < 0 else labels[x] for x in _close(word))
+    return tuple(~x if x < 0 else x for x in _close(_contour(tree)[0]))
 
 
 def to_meandering(tree: BlossomingTree) -> MeanderingDiagram:
@@ -307,7 +291,7 @@ def to_meandering(tree: BlossomingTree) -> MeanderingDiagram:
     tree keeps it: later calls return the same object."""
     if tree._diagram is not None:
         return tree._diagram
-    word, ends, _ = _contour(tree)
+    word, ends = _contour(tree)
     path = _close(word)
     if ends[2 * path[1]] != ~path[0]:
         path.reverse()
@@ -396,7 +380,7 @@ def non_modern_edges(tree: BlossomingTree) -> list[int]:
     items = tree.items
     return [
         e
-        for e, (v1, s1, v2, s2) in tree._ends.items()
+        for e, (v1, s1, v2, s2) in enumerate(tree._ends)
         if items[v1][s1 - 1] != BUD and items[v2][s2 - 1] != BUD
     ]
 
@@ -414,7 +398,7 @@ def _good_links(tree: BlossomingTree, clockwise: bool) -> _Links:
     items = tree.items
     step = -1 if clockwise else 1
     links: _Links = [[] for _ in items]
-    for v1, s1, v2, s2 in tree._ends.values():
+    for v1, s1, v2, s2 in tree._ends:
         seq1, seq2 = items[v1], items[v2]
         good1 = seq1[(s1 + step) % len(seq1)] != BUD
         good2 = seq2[(s2 + step) % len(seq2)] != BUD

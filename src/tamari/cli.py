@@ -345,7 +345,7 @@ def run(argv: list[str], out=None) -> int:
         except SystemExit as exc:  # only --help exits the parser
             return int(exc.code or 0)
         return _COMMANDS[args.command](args, out)
-    except (TamariError, ArithmeticError, ValueError, KeyError, OSError) as exc:
+    except (TamariError, ArithmeticError, ValueError, KeyError, OSError, MemoryError) as exc:
         message = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(message, separators=(",", ":")), file=sys.stderr)
         return 1

@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from tamari import cli, verify
+from tamari import blossoming, cli, counting, intervals, meandering, sampler, trees, verify
 from tamari.blossoming import from_interval
 from tamari.counting import Family, count
 from tamari.errors import UnsupportedSize
@@ -90,6 +90,89 @@ def test_a_check_that_checked_nothing_does_not_pass(monkeypatch):
     monkeypatch.setitem(verify._CHECKS, "interval-counts", lambda max_n: 1 / 0)
     [result] = run_checks(1, ["interval-counts"])
     assert not result.passed and result.detail.startswith("exception:")
+
+
+def _plus_one(fn):
+    return lambda *args: fn(*args) + 1
+
+
+# check -> (module, name, stand-in, start of the check's own failure detail);
+# every stand-in is looked up when the check runs, and none feeds a cached
+# sweep (_images, _tally) or a tree's diagram memo
+FAULTS = {
+    "interval-counts": (counting, "count", _plus_one(count), "count mismatch at n = 1"),
+    "bijection-round-trips": (
+        meandering, "to_tree_pair", lambda m: None, "pair/diagram round trip fails on"
+    ),
+    "diagram-trees-vs-intervals": (
+        meandering, "is_meandering_tree", lambda m: True, "tree test disagrees on"
+    ),
+    "transfer-synchronized": (
+        blossoming, "node_type", lambda tree, v: intervals.TYPE_11,
+        "synchronized transfer fails on",
+    ),
+    "transfer-modern": (
+        counting, "non_modern_edges", lambda tree: [], "modern transfer fails on"
+    ),
+    "transfer-infinitely-modern": (
+        counting, "_facing_good_half_edges", lambda tree, clockwise: False,
+        "infinitely-modern transfer fails on",
+    ),
+    "transfer-kreweras": (
+        counting, "_facing_good_half_edges", lambda tree, clockwise: False,
+        "kreweras transfer fails on",
+    ),
+    "duality-and-symmetry": (
+        blossoming, "switch_colors", lambda tree: tree, "color switch fails on"
+    ),
+    "family-count-formulas": (
+        counting, "count", _plus_one(count), "general count fails at n = 1"
+    ),
+    "self-dual-table": (
+        counting, "count_self_dual", _plus_one(counting.count_self_dual),
+        "self-dual general at n = 1: 1 != 2",
+    ),
+    "parameter-transfer": (
+        blossoming, "bi_degree", lambda tree, v: (0, 0), "bi-degree multiset fails on"
+    ),
+    "refined-canopy-counts": (
+        counting, "count_by_canopy_matches", lambda n, k: 0, "canopy-match sum fails at n = 1"
+    ),
+    "trivariate-series": (
+        counting, "trivariate_coefficients", lambda degree: {},
+        "trivariate coefficients fail at n = 1",
+    ),
+    "dyck-walk-formulation": (
+        trees, "contact_vector", lambda word: None, "contact vector fails on"
+    ),
+    "recursive-decomposition": (
+        meandering, "count_meandering_trees", lambda n: 0, "recursive count fails at n = 0"
+    ),
+    "reflection-involution": (
+        blossoming, "reflect_interval", lambda interval: interval, "family exchange fails on"
+    ),
+    "sampler-encoding": (
+        sampler, "marked_tree_to_sequence", lambda tree, mark: (),
+        "encoding round trip fails on",
+    ),
+    "series-consistency": (
+        counting, "count_by_canopy_matches", lambda n, k: 0,
+        "synchronized special case fails at n = 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_every_verify_check_can_fail(name, monkeypatch):
+    # one broken name per check: the check reports it with its own detail,
+    # not as a crash, and the suite passes again once the name is restored
+    module, attr, stand_in, detail = FAULTS[name]
+    monkeypatch.setattr(module, attr, stand_in)
+    [result] = run_checks(3, [name])
+    assert not result.passed and result.checked == 0
+    assert result.detail.startswith(detail), result.detail
+    monkeypatch.undo()
+    assert all(r.passed for r in run_checks(3))
 
 
 def test_criterion_1_interval_counts():

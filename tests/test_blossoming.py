@@ -55,8 +55,8 @@ def test_unfold_size_one():
     m = MeanderingDiagram((0,), (1,))
     b = from_meandering(m)
     assert b.n == 1 and len(b.items) == 2
-    assert b.half_color(1, 0) == BLUE
-    assert b.half_color(1, 1) == RED
+    assert b.half_color(0, 0) == BLUE
+    assert b.half_color(0, 1) == RED
 
 
 def test_unfold_rejects_non_trees():
@@ -75,16 +75,20 @@ def test_unfolding_indexes_like_the_validating_constructor():
     for n in range(1, 7):
         for _, tree in images(n):
             checked = BlossomingTree(tree.items)
-            assert list(tree._ends.items()) == list(checked._ends.items())
+            assert tree._ends == checked._ends
 
 
 def test_edge_table_agrees_with_the_items():
     # every plain item (e, c) at slot s of node v, read back through the
-    # accessors, on the unfolded trees, their validated copies and a draw
+    # accessors, on the unfolded trees, their validated copies, a draw and
+    # its color switch and reflection; every producer numbers the edges 0..n-1
     trees = [t for n in range(1, 7) for _, t in images(n)]
     trees += [BlossomingTree(t.items) for t in trees]
-    trees.append(sample_blossoming(1000, RandomSource(97)))
+    draw = sample_blossoming(1000, RandomSource(97))
+    trees += [draw, switch_colors(draw), reflect(draw)]
     for b in trees:
+        ids = sorted(it[0] for seq in b.items for it in seq if it != BUD)
+        assert ids == sorted(2 * list(range(b.n)))
         for v, seq in enumerate(b.items):
             plain = [(s, it) for s, it in enumerate(seq) if it != BUD]
             for s, (e, c) in plain:
@@ -99,34 +103,43 @@ def test_edge_table_agrees_with_the_items():
 def test_validation_rejects_bad_structures():
     # three buds at a node
     with pytest.raises(InvalidBlossoming):
-        BlossomingTree([[BUD, BUD, BUD, (1, BLUE)], [BUD, BUD, (1, RED)]])
+        BlossomingTree([[BUD, BUD, BUD, (0, BLUE)], [BUD, BUD, (0, RED)]])
     # monochromatic edge
     with pytest.raises(InvalidBlossoming):
-        BlossomingTree([[BUD, BUD, (1, BLUE)], [BUD, BUD, (1, BLUE)]])
+        BlossomingTree([[BUD, BUD, (0, BLUE)], [BUD, BUD, (0, BLUE)]])
     # buds fail to separate the colors
     with pytest.raises(InvalidBlossoming):
         BlossomingTree(
             [
-                [BUD, (1, BLUE), BUD, (2, BLUE)],
+                [BUD, (0, BLUE), BUD, (1, BLUE)],
+                [BUD, BUD, (0, RED)],
                 [BUD, BUD, (1, RED)],
-                [BUD, BUD, (2, RED)],
             ]
         )
     # a single node is not allowed
     with pytest.raises(InvalidBlossoming):
         BlossomingTree([[BUD, BUD]])
     with pytest.raises(InvalidBlossoming, match="bad item 'x'"):
-        BlossomingTree([[BUD, BUD, "x"], [BUD, BUD, (1, RED)]])
+        BlossomingTree([[BUD, BUD, "x"], [BUD, BUD, (0, RED)]])
     with pytest.raises(InvalidBlossoming, match="bad color 'G'"):
-        BlossomingTree([[BUD, BUD, (1, "G")], [BUD, BUD, (1, RED)]])
-    with pytest.raises(InvalidBlossoming, match="1 edges on 3 nodes"):
-        BlossomingTree([[BUD, BUD, (1, BLUE)], [BUD, BUD, (1, RED)], [BUD, BUD]])
-    with pytest.raises(InvalidBlossoming, match="edge 1 has 3 half-edges"):
-        BlossomingTree([[BUD, BUD, (1, BLUE), (1, BLUE)], [BUD, BUD, (1, RED)]])
+        BlossomingTree([[BUD, BUD, (0, "G")], [BUD, BUD, (0, RED)]])
+    with pytest.raises(InvalidBlossoming, match="edge 1 has 0 half-edges"):
+        BlossomingTree([[BUD, BUD, (0, BLUE)], [BUD, BUD, (0, RED)], [BUD, BUD]])
+    with pytest.raises(InvalidBlossoming, match="edge 0 has 3 half-edges"):
+        BlossomingTree([[BUD, BUD, (0, BLUE), (0, BLUE)], [BUD, BUD, (0, RED)]])
     with pytest.raises(InvalidBlossoming, match="contain a cycle"):
         BlossomingTree(
-            [[BUD, BUD, (1, BLUE), (2, BLUE)], [BUD, BUD, (1, RED), (2, RED)], [BUD, BUD]]
+            [[BUD, BUD, (0, BLUE), (1, BLUE)], [BUD, BUD, (0, RED), (1, RED)], [BUD, BUD]]
         )
+    # edge ids are exactly the ints 0..n-1: this path of size 2 is valid
+    # with the id 1 at node 1, and n, -1, True (== 1) and "0" are rejected
+    def path(e):
+        return [[BUD, BUD, (0, BLUE)], [BUD, (0, RED), BUD, (e, BLUE)], [BUD, BUD, (1, RED)]]
+
+    assert BlossomingTree(path(1)).n == 2
+    for bad in (2, -1, True, "0"):
+        with pytest.raises(InvalidBlossoming, match=f"bad edge id {bad!r} at node 1"):
+            BlossomingTree(path(bad))
 
 
 # -------------------------------------------------------------------- closure
@@ -134,8 +147,8 @@ def test_validation_rejects_bad_structures():
 
 def test_closure_size_one():
     b = from_meandering(MeanderingDiagram((0,), (1,)))
-    # node 0, edge 1, node 1: two closure edges, dangling ends 0 and 1
-    assert closure(b) == (0, 1, 1)
+    # node 0, edge 0, node 1: two closure edges, dangling ends 0 and 1
+    assert closure(b) == (0, 0, 1)
 
 
 def test_closure_invariants():
@@ -144,7 +157,7 @@ def test_closure_invariants():
             path = closure(b)
             assert len(path) == 2 * n + 1
             assert sorted(path[::2]) == list(range(n + 1))
-            assert sorted(path[1::2]) == list(range(1, n + 1))
+            assert sorted(path[1::2]) == list(range(n))
             assert path[0] < path[-1]
 
 
@@ -178,7 +191,7 @@ def test_closure_is_a_hamiltonian_path_ending_at_the_dangling_nodes():
     # unfoldings of their diagrams and of the size-10^5 comb interval: the
     # closure alternates nodes and edges, visits each once and ends at the
     # two dangling nodes; an unfolded diagram closes along its axis, black
-    # point k being node k and white point t edge t, and stretches back
+    # point k being node k and white point t edge t - 1, and stretches back
     rng = RandomSource(1717)
     draws = [sample_blossoming(n, rng) for n in (50, 1000)]
     trees = [t for b in draws for t in (b, reflect(b), switch_colors(b))]
@@ -187,14 +200,14 @@ def test_closure_is_a_hamiltonian_path_ending_at_the_dangling_nodes():
     diagrams.append(from_tree_pair(tree_from_dyck("UD" * n), tree_from_dyck("U" * n + "D" * n)))
     for m in diagrams:
         tree = from_meandering(m)
-        assert closure(tree) == (0,) + tuple(k for t in range(1, m.n + 1) for k in (t, t))
+        assert closure(tree) == (0,) + tuple(k for t in range(1, m.n + 1) for k in (t - 1, t))
         assert to_meandering(tree) == m
         trees.append(tree)
     for tree in trees:
         path = closure(tree)
         assert len(path) == 2 * tree.n + 1
         assert sorted(path[::2]) == list(range(tree.n + 1))
-        assert sorted(path[1::2]) == sorted(tree._ends)
+        assert sorted(path[1::2]) == list(range(tree.n))
         assert [path[0], path[-1]] == _dangling_nodes(tree)
 
 
@@ -333,7 +346,7 @@ def test_bud_axis_adjacency():
             canonical = from_meandering(m)
             for t in range(1, n + 1):
                 for v in (m.up[t - 1], m.lo[t - 1]):
-                    succ = canonical.items[v][canonical.slot(t, v) - 1]
+                    succ = canonical.items[v][canonical.slot(t - 1, v) - 1]
                     adjacent = v in (t - 1, t)
                     assert (succ == BUD) == adjacent
 
@@ -361,8 +374,7 @@ def test_bicoloring_rigidity():
     for n in range(1, 5):
         for _, b in images(n):
             valid = set()
-            for blue_ends in product(*map(b.edge_ends, b._ends)):
-                blue = dict(zip(b._ends, blue_ends))
+            for blue in product(*map(b.edge_ends, range(b.n))):
                 items = tuple(
                     tuple(
                         it if it == BUD else (it[0], BLUE if blue[it[0]] == v else RED)

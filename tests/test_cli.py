@@ -246,6 +246,19 @@ def test_unwritable_output_gives_one_json_error_line(tmp_path, capsys):
     assert json.loads(line)["error"] == "FileNotFoundError"
 
 
+def test_exhausted_memory_gives_one_json_error_line(monkeypatch, capsys):
+    # a figure too large for the address space stops with a JSON line, not
+    # a traceback; a stand-in raises what building such a figure raises
+    def exhausted(tree):
+        raise MemoryError
+
+    monkeypatch.setattr("tamari.cli.render_blossoming", exhausted)
+    code, text = invoke(["sample", "--size", "3", "--format", "svg"])
+    assert code == 1 and text == ""
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "MemoryError", "message": ""}
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4)

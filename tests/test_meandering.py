@@ -22,15 +22,11 @@ from tamari.meandering import (
     from_tree_pair,
     half_turn,
     is_meandering_tree,
-    lower_arc_counts,
     non_kreweras_pairs,
     to_tree_pair,
     underlying_edges,
-    upper_arc_counts,
 )
 from tamari.trees import (
-    degree_vector,
-    dual_degree_vector,
     enumerate_binary_trees,
     tamari_leq,
     tree_from_dyck,
@@ -226,17 +222,6 @@ def test_half_turn_involution_on_all_diagrams():
         for low, up in all_pairs(n):
             m = from_tree_pair(low, up)
             assert half_turn(half_turn(m)) == m
-
-
-# ------------------------------------------------------------- arc count maps
-
-
-def test_arc_counts_match_degree_vectors():
-    for n in range(1, 8):
-        for interval in enumerate_intervals(n):
-            m = from_tree_pair(interval.lower, interval.upper)
-            assert upper_arc_counts(m) == degree_vector(interval.upper)
-            assert lower_arc_counts(m) == dual_degree_vector(interval.lower)
 
 
 # -------------------------------------------------------- decompose / compose

@@ -127,8 +127,7 @@ def test_marked_tree_round_trip_from_tree_side():
     for n in range(1, 6):
         for interval in enumerate_intervals(n):
             tree = from_interval(interval)
-            edges = sorted(tree._ends)
-            for e in edges:
+            for e in range(tree.n):
                 seq = marked_tree_to_sequence(tree, e)
                 tree2, mark2 = sequence_to_marked_tree(seq)
                 assert tree2 == tree
