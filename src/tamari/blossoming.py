@@ -7,13 +7,14 @@ two buds separate the blue half-edges from the red ones.
 
 Plane structure is stored as one counterclockwise cyclic item sequence per
 node; an item is either the bud marker or a pair (edge id, color), the edge
-ids of a tree of size n being 0..n-1 whoever builds it.  A meandering tree
-unfolds into such a tree by granting every black point a left and a right
-bud (``from_meandering``); the inverse direction closes the tree back up:
+ids of a tree of size n being 0..n-1 whoever builds it, and an edge table
+lists each edge's blue half before its red one.  A meandering tree unfolds
+into such a tree by granting every black point a left and a right bud
+(``from_meandering``); the inverse direction closes the tree back up:
 subdivide every plain edge, walk the counterclockwise contour, match buds
-to legs planarly, and stretch the resulting meandric path onto the axis
-(``to_meandering``).  Composing with the diagram drawing of tree pairs
-gives the bijection with Tamari intervals.
+to legs planarly, and stretch the resulting meandric path onto the axis by
+each edge's blue and red end (``to_meandering``).  Composing with the
+diagram drawing of tree pairs gives the bijection with Tamari intervals.
 
 Equality of blossoming trees is by the meandering diagram of their
 closure, which each tree computes once and keeps; bicolored blossoming
@@ -70,9 +71,9 @@ class BlossomingTree:
     """A validated bicolored blossoming tree.
 
     ``items[v]`` is the counterclockwise cyclic sequence of items around
-    node v, and ``_ends[e]`` is (v1, slot at v1, v2, slot at v2) for each
-    edge id e, one of the ints 0..n-1: the constructor rejects any other
-    id.  Equality and hashing go through the closure diagram, which
+    node v, and ``_ends[e]`` is (blue end, its slot, red end, its slot) for
+    each edge id e, one of the ints 0..n-1: the constructor rejects any
+    other id.  Equality and hashing go through the closure diagram, which
     ``to_meandering`` keeps in ``_diagram`` on its first call.
     """
 
@@ -138,6 +139,7 @@ class BlossomingTree:
         return s1 if v == v1 else s2
 
     def edge_ends(self, edge: int) -> tuple[int, int]:
+        """(blue end, red end) of ``edge``."""
         return self._ends[edge][::2]
 
     def across(self, edge: int, v: int) -> int:
@@ -146,7 +148,7 @@ class BlossomingTree:
         return v2 if v == v1 else v1
 
     def half_color(self, edge: int, v: int) -> str:
-        return self.items[v][self.slot(edge, v)][1]
+        return BLUE if self._ends[edge][0] == v else RED
 
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
         """Pairs (edge, other node) incident to v, in the cyclic order of
@@ -169,13 +171,14 @@ class BlossomingTree:
 
 def _edge_table(items: tuple[tuple, ...]) -> list:
     """Entry e is the flat tuple (node, slot, node, slot) of the half-edges
-    of edge e, for the edge ids 0..n-1; an edge of a valid tree has exactly
-    two half-edges, the one at the smaller node first."""
+    of edge e, for the edge ids 0..n-1, blue halves first; an edge of a
+    valid tree has exactly two half-edges, one blue and one red."""
     ends: list = [()] * (len(items) - 1)
     for v, seq in enumerate(items):
         for slot, it in enumerate(seq):
             if it != BUD:
-                ends[it[0]] += (v, slot)
+                e = it[0]
+                ends[e] = (v, slot) + ends[e] if it[1] == BLUE else ends[e] + (v, slot)
     return ends
 
 
@@ -221,13 +224,12 @@ def _unfold(m: MeanderingDiagram) -> BlossomingTree:
 # -------------------------------------------------------------------- closure
 
 
-def _contour(tree: BlossomingTree) -> tuple[list[int], list[int]]:
+def _contour(tree: BlossomingTree) -> list[int]:
     """The contour word: the 4n + 2 items met counterclockwise around the
     tree from the first item of node 0, ``~v`` for a bud at node v and the
-    id e in 0..n-1 for a leg (a crossing) of edge e.  Also ``ends``, where
-    ``ends[2e]`` and ``ends[2e + 1]`` are the blue and the red end of e."""
+    id e in 0..n-1 for a leg (a crossing) of edge e."""
     items, table = tree.items, tree._ends
-    word, ends = [], [0] * (2 * tree.n)
+    word = []
     v, slot = 0, -1
     for _ in range(4 * tree.n + 2):
         seq = items[v]
@@ -235,12 +237,11 @@ def _contour(tree: BlossomingTree) -> tuple[list[int], list[int]]:
         if seq[slot] == BUD:
             word.append(~v)
             continue
-        e, color = seq[slot]
+        e = seq[slot][0]
         word.append(e)
-        ends[2 * e + (color == RED)] = v
         v1, s1, v2, s2 = table[e]
         v, slot = (v2, s2) if v == v1 else (v1, s1)
-    return word, ends
+    return word
 
 
 def _close(word: list[int]) -> list[int]:
@@ -277,7 +278,7 @@ def _close(word: list[int]) -> list[int]:
 def closure(tree: BlossomingTree) -> tuple:
     """The meandric path of the planar closure, ``_close`` of the contour
     word: node ids at even positions, edge ids at odd positions."""
-    return tuple(~x if x < 0 else x for x in _close(_contour(tree)[0]))
+    return tuple(~x if x < 0 else x for x in _close(_contour(tree)))
 
 
 def to_meandering(tree: BlossomingTree) -> MeanderingDiagram:
@@ -286,21 +287,21 @@ def to_meandering(tree: BlossomingTree) -> MeanderingDiagram:
     Blue half-edges go above the axis to the black point left of their white
     point, red ones below to the right.  So black point 0 is the blue end of
     white point 1, which orients the path; white point t has arcs to the
-    ends of the path's t-th edge, read from ``ends``.  Closures stretch to
-    meandering trees, so the diagram is built without a second check.  The
-    tree keeps it: later calls return the same object."""
+    blue and the red end of the path's t-th edge, read from the edge table.
+    Closures stretch to meandering trees, so the diagram is built without a
+    second check.  The tree keeps it: later calls return the same object."""
     if tree._diagram is not None:
         return tree._diagram
-    word, ends = _contour(tree)
-    path = _close(word)
-    if ends[2 * path[1]] != ~path[0]:
+    table = tree._ends
+    path = _close(_contour(tree))
+    if table[path[1]][0] != ~path[0]:
         path.reverse()
     pos = [0] * (tree.n + 1)
     for k, x in enumerate(path[::2]):
         pos[~x] = k
     edges = path[1::2]
-    up = tuple([pos[ends[2 * e]] for e in edges])
-    tree._diagram = _trusted_diagram(up, tuple([pos[ends[2 * e + 1]] for e in edges]))
+    up = tuple([pos[table[e][0]] for e in edges])
+    tree._diagram = _trusted_diagram(up, tuple([pos[table[e][2]] for e in edges]))
     return tree._diagram
 
 
@@ -490,8 +491,8 @@ def trivial_bud_position_check(tree: BlossomingTree) -> bool:
     edge is the diagram's arc from 0 to n; it and the edges toward it are
     read on the tree itself.
     """
-    path = closure(tree)
-    ends = (path[0], path[-1])
+    path = _close(_contour(tree))
+    ends = (~path[0], ~path[-1])
     central = [e for e, w in tree.neighbors(ends[0]) if w == ends[1]]
     if not central:
         return False

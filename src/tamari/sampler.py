@@ -201,11 +201,9 @@ def _decode(seq: tuple[int, ...]) -> BlossomingTree:
 
 def marked_tree_to_sequence(tree: BlossomingTree, marked_edge: int) -> tuple[int, ...]:
     """Inverse encoding: child-group sizes along the contour from the mark."""
-    v1, v2 = tree.edge_ends(marked_edge)
-    if tree.half_color(marked_edge, v1) == BLUE:
-        v1, v2 = v2, v1
+    blue, red = tree.edge_ends(marked_edge)
     out: list[int] = []
-    work = [(v2, marked_edge), (v1, marked_edge)]  # the red end comes first
+    work = [(blue, marked_edge), (red, marked_edge)]  # the red end comes first
     while work:
         v, pedge = work.pop()
         seq = tree.items[v]

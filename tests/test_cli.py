@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -187,6 +188,29 @@ def test_verify_command_small():
     for row in rows:
         assert set(row) == {"check", "passed", "detail", "checked", "seconds"}
         assert row["passed"] and row["checked"] > 0 and row["seconds"] >= 0
+
+
+#: SHA-256 of the concatenated stdout of ``PINNED_ARGVS``.  A change that
+#: alters CLI output on purpose updates it and says so in CHANGES.md.
+PINNED_STDOUT = "643581bf788ac3a0e49179fb74a446cc89f784f207e65e44f93c6c073fd59619"
+PINNED_ARGVS = [
+    ["verify", "--max-n", "5"],
+    ["sample", "--size", "200", "--count", "5", "--seed", "7"],
+    ["sample", "--size", "200", "--count", "5", "--seed", "7", "--format", "blossoming"],
+    ["tally", "--n", "6", "--json"],
+    ["series", "--n", "5", "--json"],
+    ["count", "--n", "50", "--self-dual"],
+    ["enumerate", "--n", "4", "--json"],
+    ["classify", "UUDUDD|UUUDDD", "--json"],
+    ["map", "UUDUDD|UUUDDD"],
+]
+
+
+def test_cli_stdout_is_pinned():
+    out = io.StringIO()
+    for argv in PINNED_ARGVS:
+        assert run(argv, out=out) == 0, argv
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == PINNED_STDOUT
 
 
 def test_error_paths(capsys):

@@ -1,26 +1,10 @@
 import hashlib
-import re
-from pathlib import Path
 
 from tamari.blossoming import from_interval
-from tamari.intervals import enumerate_intervals, interval_from_text
+from tamari.intervals import interval_from_text
 from tamari.meandering import MeanderingDiagram, from_tree_pair
 from tamari.render import render_blossoming, render_meandering, render_smooth
 from tamari.sampler import RandomSource, sample_interval
-
-GOLDEN_DIR = Path(__file__).parent / "golden"
-
-ARC_RE = re.compile(
-    r'<path class="arc (upper|lower)" d="M (\d+) (\d+) A \d+ \d+ 0 0 \d (\d+) \d+"'
-)
-
-
-def parse_arcs(svg):
-    out = []
-    for side, x1, _y, x2 in ARC_RE.findall(svg):
-        a, b = sorted((int(x1), int(x2)))
-        out.append((side, a, b))
-    return out
 
 
 def test_size_one_meandering_has_two_arcs():
@@ -35,37 +19,6 @@ def test_rendering_is_deterministic():
     assert render_smooth(interval).to_bytes() == render_smooth(interval).to_bytes()
     b = from_interval(interval)
     assert render_blossoming(b).to_bytes() == render_blossoming(b).to_bytes()
-
-
-def test_golden_files_n2():
-    interval = interval_from_text("UDUD|UUDD")
-    m = from_tree_pair(interval.lower, interval.upper)
-    cases = {
-        "meandering_n2.svg": render_meandering(m),
-        "smooth_n2.svg": render_smooth(interval),
-        "blossoming_n2.svg": render_blossoming(from_interval(interval)),
-    }
-    for name, fig in cases.items():
-        golden = (GOLDEN_DIR / name).read_bytes()
-        assert fig.to_bytes() == golden, f"{name} drifted from its golden file"
-
-
-def test_arcs_never_cross_on_interval_figures():
-    # same-side semicircles cross exactly when their feet strictly interleave
-    for n in range(1, 6):
-        for interval in enumerate_intervals(n):
-            m = from_tree_pair(interval.lower, interval.upper)
-            arcs = parse_arcs(render_meandering(m).svg)
-            assert len(arcs) == 2 * n
-            for i, (side_a, a1, a2) in enumerate(arcs):
-                for side_b, b1, b2 in arcs[i + 1:]:
-                    if side_a != side_b:
-                        continue
-                    assert not (a1 < b1 < a2 < b2 or b1 < a1 < b2 < a2), (
-                        interval,
-                        (a1, a2),
-                        (b1, b2),
-                    )
 
 
 def test_blossoming_figure_has_buds():
