@@ -43,7 +43,7 @@ from .intervals import (
     make_interval,
 )
 from .meandering import diagram_from_json, diagram_to_json, from_tree_pair, to_tree_pair
-from .render import _diagram_figure, render_blossoming, render_smooth, save
+from .render import _diagram_blocks, _smooth_blocks
 from .sampler import RandomSource, sample_blossoming, sample_interval
 
 __all__ = ["main", "run"]
@@ -223,8 +223,8 @@ def _cmd_sample(args, out) -> int:
     if args.format == "svg":
         if args.count != 1:
             raise TamariError("svg output requires --count 1")
-        figure = render_blossoming(sample_blossoming(args.size, rng))
-        _write_figure(figure, args.out, out)
+        m = to_meandering(sample_blossoming(args.size, rng))  # the tree is freed here
+        _write_figure(_diagram_blocks(m, buds=True), args.out, out)
         return 0
     with open(args.out, "w") if args.out else contextlib.nullcontext(out) as handle:
         for _ in range(args.count):
@@ -236,21 +236,22 @@ def _cmd_sample(args, out) -> int:
     return 0
 
 
-def _write_figure(figure, path, out) -> None:
-    if path:
-        save(figure, path)
-    else:
-        out.write(figure.svg)
+def _write_figure(blocks, path, out) -> None:
+    """Write a figure's text blocks as they are drawn; the file is opened
+    first, so a figure that fails mid-way leaves what was written."""
+    sink = open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext(out)
+    with sink as handle:
+        handle.writelines(blocks)
 
 
 def _cmd_render(args, out) -> int:
     interval = interval_from_text(_read_object(args.interval))
     if args.style == "smooth":
-        figure = render_smooth(interval)
+        blocks = _smooth_blocks(interval)
     else:
         m = from_tree_pair(interval.lower, interval.upper)
-        figure = _diagram_figure(m, buds=args.style == "blossoming")
-    _write_figure(figure, args.out, out)
+        blocks = _diagram_blocks(m, buds=args.style == "blossoming")
+    _write_figure(blocks, args.out, out)
     return 0
 
 

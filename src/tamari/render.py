@@ -4,16 +4,27 @@ Output is a pure function of the object and the fixed style constants:
 axis points 40 user units apart, semicircular arcs, blue above the axis
 and red below, buds as outgoing arrows.  Byte-identical output for equal
 inputs makes the figures usable as golden files in regression tests.
+
+Each figure is one generator of text blocks (``_smooth_blocks``,
+``_diagram_blocks``), and each block is one ``_rows`` call: an element
+template's literal pieces zipped with string columns of at most ``BLOCK``
+rows and joined in C.  The columns are looked up in two tables per
+figure: ``sx``, the text of each axis abscissa, and ``radius``, the text
+of each arc radius.  The command line writes the blocks as they come and
+never holds a whole figure; ``Figure.svg`` is their eager join.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add, sub
+from typing import Iterator
 
 from .blossoming import BlossomingTree, to_meandering
 from .intervals import TamariInterval
 from .meandering import MeanderingDiagram
-from .trees import smooth_arcs
+from .trees import bracket_vector, dual_bracket_vector
 
 __all__ = [
     "Figure",
@@ -30,6 +41,8 @@ LOWER_COLOR = "red"
 POINT_RADIUS = 4
 BUD_LENGTH = 14
 BUD_HEAD = 6
+#: Rows per text block of a streamed figure.
+BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -49,15 +62,31 @@ def save(figure: Figure, path: str) -> None:
         handle.write(figure.to_bytes())
 
 
-def _document(width: int, height: int, body: list[str]) -> Figure:
-    lines = [
+def _frame(points: int, buds: bool) -> tuple[int, int, int]:
+    """First abscissa, width and height of a figure with that many axis points."""
+    offset = MARGIN + (BUD_LENGTH + BUD_HEAD if buds else 0)
+    span = (points - 1) * SPACING
+    return offset, 2 * offset + span, 2 * MARGIN + span
+
+
+def _head(width: int, height: int, x1: str, x2: str) -> str:
+    """The document's opening tag and the axis from x1 to x2."""
+    return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        *body,
-        "</svg>",
-        "",
-    ]
-    return Figure(svg="\n".join(lines), width=width, height=height)
+        f'height="{height}" viewBox="0 0 {width} {height}">\n'
+        f'<line class="axis" x1="{x1}" y1="{height // 2}" x2="{x2}" y2="{height // 2}" '
+        f'stroke="#888888" stroke-width="1"/>\n'
+    )
+
+
+def _rows(template: str, *columns) -> str:
+    """One line per row of the string columns, which fill the %d fields of
+    ``template`` in order; the rows are zipped and joined in C."""
+    pieces = (template + "\n").split("%d")
+    fields = [None] * (2 * len(pieces) - 1)
+    fields[::2] = map(repeat, pieces)
+    fields[1::2] = columns
+    return "".join(chain.from_iterable(zip(*fields)))
 
 
 def _arc(axis_y: int, upper: bool) -> str:
@@ -82,13 +111,6 @@ def _point(axis_y: int, black: bool) -> str:
     )
 
 
-def _axis(x1: int, x2: int, axis_y: int) -> str:
-    return (
-        f'<line class="axis" x1="{x1}" y1="{axis_y}" x2="{x2}" y2="{axis_y}" '
-        f'stroke="#888888" stroke-width="1"/>'
-    )
-
-
 def _bud(axis_y: int) -> str:
     """Template of the two elements of one bud pointing in direction +-1:
     fill it with the abscissa x of its point, then x + direction * d for
@@ -103,59 +125,83 @@ def _bud(axis_y: int) -> str:
 
 def render_meandering(m: MeanderingDiagram) -> Figure:
     """Draw a meandering diagram: 2n + 1 axis points and its 2n arcs."""
-    return _diagram_figure(m, buds=False)
+    return Figure("".join(_diagram_blocks(m, buds=False)), *_frame(2 * m.n + 1, False)[1:])
 
 
 def render_smooth(interval: TamariInterval) -> Figure:
     """Draw the smooth drawing of an interval: upper tree above, lower below."""
-    n = interval.n
-    width = 2 * MARGIN + n * SPACING
-    axis_y = MARGIN + (n * SPACING) // 2
-    height = 2 * axis_y
-    xs = [MARGIN + k * SPACING for k in range(n + 1)]
-    body = [_axis(MARGIN, width - MARGIN, axis_y)]
-    for tree, upper in ((interval.upper, True), (interval.lower, False)):
-        arc = _arc(axis_y, upper)
-        for left, right in smooth_arcs(tree):
-            x1, x2 = xs[left], xs[right]
-            body.append(arc % (x1, (x2 - x1) // 2, (x2 - x1) // 2, x2))
-    point = _point(axis_y, black=True)
-    body += [point % x for x in xs]
-    return _document(width, max(height, 2 * MARGIN), body)
+    return Figure("".join(_smooth_blocks(interval)), *_frame(interval.n + 1, False)[1:])
 
 
 def render_blossoming(tree: BlossomingTree) -> Figure:
     """Draw a blossoming tree in its meandering layout, buds as arrows."""
-    return _diagram_figure(to_meandering(tree), buds=True)
+    m = to_meandering(tree)
+    return Figure("".join(_diagram_blocks(m, buds=True)), *_frame(2 * m.n + 1, True)[1:])
 
 
-def _diagram_figure(m: MeanderingDiagram, buds: bool) -> Figure:
-    """The drawing of diagram m, with two buds at each black point if asked.
+def _smooth_blocks(interval: TamariInterval) -> Iterator[str]:
+    """The smooth drawing's text, in blocks of at most ``BLOCK`` rows."""
+    n = interval.n
+    offset, width, height = _frame(n + 1, False)
+    sx = list(map(str, range(offset, width - offset + 1, SPACING)))
+    radius = list(map(str, range(0, (n + 1) * SPACING // 2, SPACING // 2)))
+    yield _head(width, height, sx[0], sx[-1])
+    for tree, upper in ((interval.upper, True), (interval.lower, False)):
+        arc = _arc(height // 2, upper)
+        a, b = bracket_vector(tree), dual_bracket_vector(tree)
+        for i in range(0, n, BLOCK):
+            # node k + 1 spans the leaves k - b_k .. k + 1 + a_k
+            left = list(map(sub, range(i, n), b[i : i + BLOCK]))
+            right = list(map(add, range(i + 1, n + 1), a[i : i + BLOCK]))
+            r = list(map(radius.__getitem__, map(sub, right, left)))
+            yield _rows(arc, map(sx.__getitem__, left), r, r, map(sx.__getitem__, right))
+    point = _point(height // 2, black=True)
+    for i in range(0, n + 1, BLOCK):
+        yield _rows(point, sx[i : i + BLOCK])
+    yield "</svg>\n"
+
+
+def _diagram_blocks(m: MeanderingDiagram, buds: bool) -> Iterator[str]:
+    """The drawing of diagram m, with two buds at each black point if asked,
+    in blocks of at most ``BLOCK`` rows.
 
     The closure of ``from_interval(interval)`` stretches to
     ``from_tree_pair(interval.lower, interval.upper)``, so an interval's
     blossoming figure needs neither the blossoming tree nor its closure.
     """
     n = m.n
-    offset = MARGIN + (BUD_LENGTH + BUD_HEAD if buds else 0)
-    axis_y = MARGIN + n * SPACING
-    xs = [offset + i * SPACING for i in range(2 * n + 1)]
-    body = [_axis(xs[0], xs[-1], axis_y)]
-    # one template per white point for its two arcs, and one per black
-    # point with the white point after it
+    offset, width, height = _frame(2 * n + 1, buds)
+    axis_y = height // 2
+    sx = list(map(str, range(offset, width - offset + 1, SPACING)))
+    black, white = sx[::2], sx[1::2]
+    # every arc joins points an odd number 2k + 1 of axis steps apart, signed:
+    # radius[k] is the text of its radius, and a negative k indexes from the end
+    half = SPACING // 2
+    radius = list(map(str, chain(range(half, half + n * SPACING, SPACING),
+                                 range(half - n * SPACING, half, SPACING))))
+    yield _head(width, height, sx[0], sx[-1])
+    # one row per white point for its two arcs
     arcs = _arc(axis_y, True) + "\n" + _arc(axis_y, False)
-    for white_x, u, v in zip(xs[1::2], m.up, m.lo):
-        x1, x2 = xs[2 * u], xs[2 * v]
-        r1, r2 = (white_x - x1) // 2, (x2 - white_x) // 2
-        body.append(arcs % (x1, r1, r1, white_x, white_x, r2, r2, x2))
+    for i in range(0, n, BLOCK):
+        up, lo = m.up[i : i + BLOCK], m.lo[i : i + BLOCK]
+        r1 = list(map(radius.__getitem__, map(sub, range(i, n), up)))
+        r2 = list(map(radius.__getitem__, map(sub, lo, range(i + 1, n + 1))))
+        wx = white[i : i + BLOCK]
+        x1, x2 = map(black.__getitem__, up), map(black.__getitem__, lo)
+        yield _rows(arcs, x1, r1, r1, wx, wx, r2, r2, x2)
     if buds:
+        # one row per black point for its two buds
         both = _bud(axis_y) + "\n" + _bud(axis_y)
-        tip, base = BUD_LENGTH + BUD_HEAD, BUD_LENGTH
-        for x in xs[::2]:
-            left, right = x - base, x + base
-            body.append(both % (x, left, x - tip, left, left, x, right, x + tip, right, right))
-    black = _point(axis_y, black=True)
-    points = black + "\n" + _point(axis_y, black=False)
-    body += [points % pair for pair in zip(xs[::2], xs[1::2])]
-    body.append(black % xs[-1])
-    return _document(2 * offset + 2 * n * SPACING, max(2 * axis_y, 2 * MARGIN), body)
+        for i in range(0, n + 1, BLOCK):
+            xs = range(offset, width - offset + 1, 2 * SPACING)[i : i + BLOCK]
+            left, back, right, front = (
+                list(map(str, range(xs.start + d, xs.stop + d, xs.step)))
+                for d in (-BUD_LENGTH, -BUD_LENGTH - BUD_HEAD, BUD_LENGTH, BUD_LENGTH + BUD_HEAD)
+            )
+            x = black[i : i + BLOCK]
+            yield _rows(both, x, left, back, left, left, x, right, front, right, right)
+    # one row per black point with the white point after it, then the last
+    points = _point(axis_y, black=True) + "\n" + _point(axis_y, black=False)
+    for i in range(0, n, BLOCK):
+        yield _rows(points, black[i : i + BLOCK], white[i : i + BLOCK])
+    yield _rows(_point(axis_y, black=True), sx[-1:]) + "</svg>\n"

@@ -139,12 +139,14 @@ def _walk(runs: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     a = [0] * n
     b = [0] * n
     stack = [0]
-    for e in range(1, n + 1):
+    push, pop = stack.append, stack.pop
+    for e, run in enumerate(runs[1:], 1):
         b[e - 1] = e - 1 - stack[-1]
-        stack.append(e)
-        for _ in range(runs[e]):
-            k = stack.pop()
+        push(e)
+        while run:
+            k = pop()
             a[k - 1] = e - k
+            run -= 1
     return tuple(a), tuple(b)
 
 
@@ -288,8 +290,9 @@ def right_rotations(t: BinaryTree) -> list[BinaryTree]:
 
 
 def dyck_from_tree(t: BinaryTree) -> str:
-    """Dyck word of the tree: word(L) + U + word(R) + D at each node."""
-    return "".join(["U" + "D" * run for run in _runs(bracket_vector(t))[1:]])
+    """Dyck word of the tree: word(L) + U + word(R) + D at each node, that is
+    its runs of down steps joined by U (runs[0] is 0)."""
+    return "U".join(["D" * run for run in _runs(bracket_vector(t))])
 
 
 def _check_dyck(word: str) -> None:

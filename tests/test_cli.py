@@ -272,13 +272,27 @@ def test_unwritable_output_gives_one_json_error_line(tmp_path, capsys):
 
 def test_exhausted_memory_gives_one_json_error_line(monkeypatch, capsys):
     # a figure too large for the address space stops with a JSON line, not
-    # a traceback; a stand-in raises what building such a figure raises
-    def exhausted(tree):
+    # a traceback; a stand-in raises what drawing such a figure raises
+    def exhausted(m, buds):
         raise MemoryError
+        yield
 
-    monkeypatch.setattr("tamari.cli.render_blossoming", exhausted)
+    monkeypatch.setattr("tamari.cli._diagram_blocks", exhausted)
     code, text = invoke(["sample", "--size", "3", "--format", "svg"])
     assert code == 1 and text == ""
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "MemoryError", "message": ""}
+
+
+def test_figure_failing_mid_way_keeps_what_it_wrote(monkeypatch, capsys):
+    # figures stream: the blocks written before a failure stay written
+    def exhausted_after_one_block(m, buds):
+        yield "<svg>\n"
+        raise MemoryError
+
+    monkeypatch.setattr("tamari.cli._diagram_blocks", exhausted_after_one_block)
+    code, text = invoke(["sample", "--size", "3", "--format", "svg"])
+    assert code == 1 and text == "<svg>\n"
     (line,) = capsys.readouterr().err.splitlines()
     assert json.loads(line) == {"error": "MemoryError", "message": ""}
 
