@@ -19,9 +19,9 @@ for n in range(1, 9):
     row = f"{n:>3} " + "".join(f"{count_self_dual(f, n):>22}" for f in Family)
     print(row)
 
-# The tally recomputes everything by brute force and insists that the
-# direct classifiers agree with the forbidden-pattern classifiers on the
-# blossoming side, interval by interval.
+# The tally recomputes every count by brute force with the direct
+# classifiers; `tamari verify` holds them to the forbidden-pattern
+# classifiers on the blossoming side, interval by interval.
 print("\nbrute force at n = 5:")
 result = tally(5)
 for family in Family:

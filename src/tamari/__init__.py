@@ -19,7 +19,6 @@ from .errors import (
     NotAnInterval,
     NotATree,
     NotDerisable,
-    OracleDisagreement,
     SizeMismatch,
     TamariError,
     UnsupportedSize,

@@ -147,9 +147,6 @@ class BlossomingTree:
         v1, _, v2, _ = self._ends[edge]
         return v2 if v == v1 else v1
 
-    def half_color(self, edge: int, v: int) -> str:
-        return BLUE if self._ends[edge][0] == v else RED
-
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
         """Pairs (edge, other node) incident to v, in the cyclic order of
         ``items[v]``."""

@@ -116,9 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="maximal total degree")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser(
-        "tally", help="brute-force family counts with oracle cross-checks"
-    )
+    p = sub.add_parser("tally", help="brute-force family counts")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--json", action="store_true")
 

@@ -4,8 +4,9 @@ All arithmetic is exact: divisions in the formulas are performed as
 integer divisions guarded by a divisibility assertion, so a transcription
 error surfaces as an exception rather than a rounding artifact.  The
 truncated trivariate series refines the count by the three joint canopy
-types, and ``tally`` recomputes everything by brute force while holding
-the direct and blossoming classifiers to agreement.
+types, and ``tally`` recomputes the counts by brute force with the direct
+classifiers.  This module only computes: ``tamari.verify`` holds each of
+these answers to an independent one.
 """
 
 from __future__ import annotations
@@ -14,15 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
 
-from .blossoming import (
-    _facing_good_half_edges,
-    from_interval,
-    is_synchronized_tree,
-    non_modern_edges,
-)
-from .errors import OracleDisagreement, UnsupportedSize
+from .errors import UnsupportedSize
 from .intervals import (
-    TamariInterval,
     canopy_type_counts,
     enumerate_intervals,
     is_infinitely_modern,
@@ -31,13 +25,11 @@ from .intervals import (
     is_new,
     is_self_dual,
     is_synchronized,
-    is_trivial,
 )
 
 __all__ = [
     "FAMILY_PREDICATES",
     "Family",
-    "PATTERN_CLASSIFIERS",
     "TallyResult",
     "count",
     "count_by_canopy_matches",
@@ -262,8 +254,7 @@ def trivariate_coefficients(max_degree: int) -> dict[tuple[int, int, int], int]:
 
     The triple (i, j, m) counts positions of types 11, 00 and 10, so the
     interval size is i + j + m - 1.  Coefficients come from the planted
-    blossoming-tree series; the edge-rooted identity (each interval of size
-    n counted n times equals the product series) is asserted on the way.
+    blossoming-tree series.
     """
     _check_degree(max_degree)
     a, b = _canopy_series_pair(max_degree)
@@ -273,17 +264,6 @@ def trivariate_coefficients(max_degree: int) -> dict[tuple[int, int, int], int]:
     y = _Poly3.variable(1, max_degree)
     z = _Poly3.variable(2, max_degree)
     f = x * a * ga + y * b * gb + z * a * ga * b * gb - a * b
-    product = a * b
-    for key, value in f.coeffs.items():
-        weight = sum(key) - 1
-        if weight * value != product.coeffs.get(key, 0):
-            raise OracleDisagreement(
-                f"edge-rooted identity fails at {key}: "
-                f"{weight * value} != {product.coeffs.get(key, 0)}"
-            )
-    for key, value in product.coeffs.items():
-        if value and key not in f.coeffs:
-            raise OracleDisagreement(f"edge-rooted identity fails at {key}")
     return dict(sorted(f.coeffs.items()))
 
 
@@ -292,9 +272,9 @@ def modern_series_coefficients(max_degree: int) -> tuple[list[int], list[int], l
 
     A counts planted modern trees by nodes, B those whose root half-edge is
     followed clockwise by a bud, and C = A / (1 - B).  C has the closed
-    form 2^(n-1)/(n+1) * binom(2n, n), asserted here, and (1 + C)^2 counts
-    node-rooted modern trees, giving back the modern interval counts.  The
-    series are the one-variable case of ``_Poly3``, in its first variable.
+    form 2^(n-1)/(n+1) * binom(2n, n), and (1 + C)^2 counts node-rooted
+    modern trees, giving back the modern interval counts.  The series are
+    the one-variable case of ``_Poly3``, in its first variable.
     """
     _check_degree(max_degree)
     z = _Poly3.variable(0, max_degree)
@@ -313,14 +293,7 @@ def modern_series_coefficients(max_degree: int) -> tuple[list[int], list[int], l
     def coefficients(p: _Poly3) -> list[int]:
         return [p.coeffs.get((k, 0, 0), 0) for k in range(max_degree + 1)]
 
-    a, b, c, squared = map(coefficients, (a, b, c, (one + c) * (one + c)))
-    for n in range(1, max_degree + 1):
-        expected = _exact_div(2 ** (n - 1) * comb(2 * n, n), n + 1)
-        if c[n] != expected:
-            raise OracleDisagreement(f"modern planted series: [z^{n}] = {c[n]} != {expected}")
-        if _exact_div(squared[n], n + 1) != count(Family.MODERN, n):
-            raise OracleDisagreement(f"modern count mismatch at n = {n}")
-    return a, b, c
+    return coefficients(a), coefficients(b), coefficients(c)
 
 
 # -------------------------------------------------------------- brute force
@@ -350,35 +323,9 @@ FAMILY_PREDICATES = {
     Family.KREWERAS: is_kreweras,
 }
 
-# The transfer lemmas: each family's forbidden-pattern classifier on the
-# blossoming tree agrees with its predicate in FAMILY_PREDICATES.  The two
-# path patterns are tested for emptiness in one linear pass; the path
-# enumerators non_modern_paths and non_kreweras_paths are its oracles.
-PATTERN_CLASSIFIERS = {
-    Family.SYNCHRONIZED: is_synchronized_tree,
-    Family.MODERN: lambda tree: not non_modern_edges(tree),
-    Family.INFINITELY_MODERN: lambda tree: not _facing_good_half_edges(tree, True),
-    Family.KREWERAS: lambda tree: not _facing_good_half_edges(tree, False),
-}
-
-
-def _classify_both_ways(interval: TamariInterval) -> dict[Family, bool]:
-    membership = {family: member(interval) for family, member in FAMILY_PREDICATES.items()}
-    tree = from_interval(interval)
-    for family, on_tree in PATTERN_CLASSIFIERS.items():
-        if on_tree(tree) != membership[family]:
-            raise OracleDisagreement(
-                f"{family.value} classifiers disagree on {interval!r}"
-            )
-    return membership
-
 
 def tally(n: int) -> TallyResult:
-    """Classify every interval of size n <= 8 with both classifier stacks.
-
-    Raises OracleDisagreement when a direct classifier and the blossoming
-    pattern classifier differ on any interval, which would mean a bug.
-    """
+    """Classify every interval of size n <= 8 with the direct classifiers."""
     if n > 8:
         raise UnsupportedSize(f"size {n} exceeds the tally cap 8")
     families = {family: 0 for family in Family}
@@ -389,21 +336,16 @@ def tally(n: int) -> TallyResult:
     dual_total = 0
     for interval in enumerate_intervals(n):
         total += 1
-        membership = _classify_both_ways(interval)
         dual = is_self_dual(interval)
         dual_total += dual
-        for family, member in membership.items():
-            if member:
+        for family, member in FAMILY_PREDICATES.items():
+            if member(interval):
                 families[family] += 1
                 if dual:
                     self_dual[family] += 1
         i, j, m = canopy_type_counts(interval)
         triples[i, j, m] = triples.get((i, j, m), 0) + 1
         matches[i + j] = matches.get(i + j, 0) + 1
-        if is_trivial(interval) and not (
-            membership[Family.SYNCHRONIZED] and membership[Family.KREWERAS]
-        ):
-            raise OracleDisagreement("a trivial interval escaped its families")
     return TallyResult(
         n=n,
         total=total,

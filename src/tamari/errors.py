@@ -47,7 +47,3 @@ class InvalidDecomposition(TamariError):
 
 class InvalidSequence(TamariError):
     """An integer sequence is not a valid marked-tree encoding."""
-
-
-class OracleDisagreement(TamariError):
-    """Two independent classifiers disagreed; always indicates a bug."""

@@ -13,6 +13,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Callable
 
 from . import blossoming, counting, intervals, meandering, sampler, trees
@@ -130,19 +131,29 @@ def _check_diagram_trees_match_intervals(max_n: int):
     return checked, f"{checked} tree pairs checked"
 
 
-# The path enumerators whose emptiness the linear pattern classifiers of
-# these families decide; the other two classifiers test their pattern list
-# for emptiness directly.
-_PATH_ENUMERATORS = {
-    counting.Family.INFINITELY_MODERN: blossoming.non_modern_paths,
-    counting.Family.KREWERAS: blossoming.non_kreweras_paths,
+# The transfer lemmas: each pattern family's forbidden-pattern classifier
+# on the blossoming tree agrees with its direct classifier.  The two path
+# patterns are decided in one linear pass, held to the path enumerator
+# whose emptiness it decides; the other two classifiers test their pattern
+# list for emptiness directly.  Each entry looks up its scanner when called,
+# so a stand-in put in blossoming is the one checked.
+_PATTERNS = {
+    counting.Family.SYNCHRONIZED: (lambda tree: blossoming.is_synchronized_tree(tree), None),
+    counting.Family.MODERN: (lambda tree: not blossoming.non_modern_edges(tree), None),
+    counting.Family.INFINITELY_MODERN: (
+        lambda tree: not blossoming._facing_good_half_edges(tree, True),
+        lambda tree: blossoming.non_modern_paths(tree),
+    ),
+    counting.Family.KREWERAS: (
+        lambda tree: not blossoming._facing_good_half_edges(tree, False),
+        lambda tree: blossoming.non_kreweras_paths(tree),
+    ),
 }
 
 
 def _transfer_check(family: counting.Family) -> None:
     direct = counting.FAMILY_PREDICATES[family]
-    pattern = counting.PATTERN_CLASSIFIERS[family]
-    enumerator = _PATH_ENUMERATORS.get(family)
+    pattern, enumerator = _PATTERNS[family]
 
     @_check(f"transfer-{family.value}")
     def check(max_n: int):
@@ -158,7 +169,7 @@ def _transfer_check(family: counting.Family) -> None:
         return checked, f"{checked} intervals agree"
 
 
-for _family in counting.PATTERN_CLASSIFIERS:
+for _family in _PATTERNS:
     _transfer_check(_family)
 
 
@@ -273,6 +284,17 @@ def _check_trivariate(max_n: int):
         if _tally(n).canopy_triples != expected:
             raise _Failed(f"trivariate coefficients fail at n = {n}")
         checked += len(expected)
+    # edge-rooted identity: an interval of size n counted once per edge,
+    # n times, is a red-planted tree glued to a blue-planted one
+    a, b = counting._canopy_series_pair(degree)
+    product = (a * b).coeffs
+    weighted = {key: (sum(key) - 1) * value for key, value in coeffs.items()}
+    for key in sorted(weighted.keys() | product.keys()):
+        if weighted.get(key, 0) != product.get(key, 0):
+            raise _Failed(
+                f"edge-rooted identity fails at {key}: "
+                f"{weighted.get(key, 0)} != {product.get(key, 0)}"
+            )
     return checked, f"coefficients match tallies up to degree {degree}"
 
 
@@ -380,7 +402,16 @@ def _check_sampler(max_n: int):
 
 @_check("series-consistency")
 def _check_series_consistency(max_n: int):
-    counting.modern_series_coefficients(min(max_n + 1, 9))
+    degree = min(max_n + 1, 9)
+    _, _, c = counting.modern_series_coefficients(degree)
+    one_plus_c = [1 + c[0], *c[1:]]  # (1 + C)^2 counts node-rooted modern trees
+    for n in range(1, degree + 1):
+        expected = 2 ** (n - 1) * comb(2 * n, n) // (n + 1)  # 2^(n-1) Catalan(n)
+        if c[n] != expected:
+            raise _Failed(f"modern planted series: [z^{n}] = {c[n]} != {expected}")
+        squared = sum(one_plus_c[k] * one_plus_c[n - k] for k in range(n + 1))
+        if squared != (n + 1) * counting.count(counting.Family.MODERN, n):
+            raise _Failed(f"modern count mismatch at n = {n}")
     checked = 0
     for n in _sizes(max_n, 8):
         via_j = counting.count_by_canopy_matches(n, n - 1)

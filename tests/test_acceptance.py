@@ -36,7 +36,7 @@ EXPECTED_COUNTS = {
 CRITERIA = {
     1: (8, ["interval-counts"]),
     2: (7, ["bijection-round-trips", "diagram-trees-vs-intervals"]),
-    3: (6, [f"transfer-{f}" for f in ("synchronized", "modern", "infinitely-modern", "kreweras")]),
+    3: (7, [f"transfer-{f}" for f in ("synchronized", "modern", "infinitely-modern", "kreweras")]),
     4: (7, ["duality-and-symmetry", "family-count-formulas", "self-dual-table"]),
     5: (7, ["refined-canopy-counts", "trivariate-series", "series-consistency"]),
     6: (7, ["parameter-transfer"]),
@@ -112,14 +112,14 @@ FAULTS = {
         "synchronized transfer fails on",
     ),
     "transfer-modern": (
-        counting, "non_modern_edges", lambda tree: [], "modern transfer fails on"
+        blossoming, "non_modern_edges", lambda tree: [], "modern transfer fails on"
     ),
     "transfer-infinitely-modern": (
-        counting, "_facing_good_half_edges", lambda tree, clockwise: False,
+        blossoming, "_facing_good_half_edges", lambda tree, clockwise: False,
         "infinitely-modern transfer fails on",
     ),
     "transfer-kreweras": (
-        counting, "_facing_good_half_edges", lambda tree, clockwise: False,
+        blossoming, "_facing_good_half_edges", lambda tree, clockwise: False,
         "kreweras transfer fails on",
     ),
     "duality-and-symmetry": (
@@ -175,6 +175,36 @@ def test_every_verify_check_can_fail(name, monkeypatch):
     assert all(r.passed for r in run_checks(3))
 
 
+def test_series_identities_fail_as_checks(monkeypatch):
+    # the edge-rooted identity and the modern closed form are conditions of
+    # their checks, so a broken series fails its check, not with a crash
+    series_pair = counting._canopy_series_pair
+    coefficients = counting.trivariate_coefficients(4)
+
+    def top_term_added(cap):
+        # a term of degree cap - 1 added to the red-planted series cancels
+        # out of every coefficient up to the cap; only the identity sees it
+        a, b = series_pair(cap)
+        return a + counting._Poly3({(0, 0, cap - 1): 1}, cap), b
+
+    monkeypatch.setattr(counting, "_canopy_series_pair", top_term_added)
+    assert counting.trivariate_coefficients(4) == coefficients
+    [result] = run_checks(3, ["trivariate-series"])
+    assert not result.passed and result.checked == 0
+    assert result.detail.startswith("edge-rooted identity fails at"), result.detail
+
+    modern = counting.modern_series_coefficients
+
+    def top_coefficient_off(degree):
+        a, b, c = modern(degree)
+        return a, b, [*c[:-1], c[-1] + 1]
+
+    monkeypatch.setattr(counting, "modern_series_coefficients", top_coefficient_off)
+    [result] = run_checks(3, ["series-consistency"])
+    assert not result.passed and result.checked == 0
+    assert result.detail.startswith("modern planted series: [z^4]"), result.detail
+
+
 def test_criterion_1_interval_counts():
     verified(1)
     for n, expected in EXPECTED_COUNTS.items():
@@ -189,7 +219,7 @@ def test_criterion_2_bijection_round_trips():
 
 def test_criterion_3_transfer_lemmas():
     verified(3)
-    report(3, "all four forbidden-pattern classifiers agree up to size 6")
+    report(3, "all four forbidden-pattern classifiers agree up to size 7")
 
 
 def test_criterion_4_duality():

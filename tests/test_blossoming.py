@@ -55,8 +55,7 @@ def test_unfold_size_one():
     m = MeanderingDiagram((0,), (1,))
     b = from_meandering(m)
     assert b.n == 1 and len(b.items) == 2
-    assert b.half_color(0, 0) == BLUE
-    assert b.half_color(0, 1) == RED
+    assert b.edge_ends(0) == (0, 1)  # (blue end, red end)
 
 
 def test_unfold_rejects_non_trees():
@@ -95,7 +94,6 @@ def test_edge_table_agrees_with_the_items():
             for s, (e, c) in plain:
                 w = b.across(e, v)
                 assert b.slot(e, v) == s
-                assert b.half_color(e, v) == c
                 assert b.across(e, w) == v != w
                 assert b.edge_ends(e)[c == RED] == v
             assert b.neighbors(v) == tuple((it[0], b.across(it[0], v)) for _, it in plain)

@@ -3,7 +3,6 @@ import pytest
 from tamari.blossoming import from_interval, reflect_interval, to_interval
 from tamari.counting import (
     FAMILY_PREDICATES,
-    PATTERN_CLASSIFIERS,
     Family,
     count,
     count_by_canopy_matches,
@@ -16,6 +15,7 @@ from tamari.counting import (
 from tamari.errors import UnsupportedSize
 from tamari.intervals import is_infinitely_modern, is_kreweras, make_interval
 from tamari.sampler import RandomSource, sample_blossoming, sample_interval
+from tamari.verify import _PATTERNS
 
 EXPECTED_GENERAL = [1, 3, 13, 68, 399, 2530, 16965, 118668]
 
@@ -145,8 +145,8 @@ def test_modern_series_first_coefficients():
 
 
 def test_modern_series_internal_checks_cover_counts():
-    # construction already asserts the closed form of C and the modern
-    # interval counts up to the requested degree
+    # tamari verify's series-consistency check holds C to its closed form
+    # and (1 + C)^2 to the modern interval counts; here, the lengths
     a, b, c = modern_series_coefficients(8)
     assert len(a) == len(b) == len(c) == 9
 
@@ -187,5 +187,5 @@ def test_both_classifier_stacks_agree_at_sampler_scale():
     draws = [sample_blossoming(n, rng) for n in [4] * 200 + [1_000, 10_000]]
     pairs += ((to_interval(blossoming), blossoming) for blossoming in draws)
     for interval, blossoming in pairs:
-        for family, on_tree in PATTERN_CLASSIFIERS.items():
+        for family, (on_tree, _) in _PATTERNS.items():
             assert on_tree(blossoming) == FAMILY_PREDICATES[family](interval), family

@@ -45,6 +45,17 @@ def test_package_exports_are_module_exports():
     assert sorted(public - exported) == []
 
 
+def test_counting_binds_nothing_from_blossoming():
+    # counting only computes; holding its answers to the blossoming
+    # classifiers is tamari.verify's work
+    bound = [
+        name
+        for name, value in vars(counting).items()
+        if getattr(value, "__module__", None) == "tamari.blossoming"
+    ]
+    assert bound == []
+
+
 Diagram = meandering.MeanderingDiagram
 ONE, TWO = (trees.enumerate_binary_trees(n)[0] for n in (1, 2))
 
