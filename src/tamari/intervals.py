@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import le
+from operator import add, eq, le
 from typing import Iterable
 
 from .errors import NotAnInterval, NotDerisable, SizeMismatch, UnsupportedSize
@@ -311,21 +311,26 @@ def is_infinitely_modern(interval: TamariInterval) -> bool:
 
     Tested through the separated-pair characterization: no upper arc ends
     left of where a lower arc starts, that is, ``gaps`` is empty.  The arc
-    of node i spans (i - 1 - b_i, i + a_i) (see ``smooth_arcs``).
+    of node i spans (i - 1 - b_i, i + a_i) (see ``smooth_arcs``).  Arcs nest,
+    so the first to end is that of the first node with a_i = 0, at i, and the
+    last to start that of the last node with b_i = 0, at i - 1.
     """
-    upper_end = min(i + a for i, a in enumerate(bracket_vector(interval.upper), 1))
-    lower_start = max(i - 1 - b for i, b in enumerate(dual_bracket_vector(interval.lower), 1))
-    return upper_end >= lower_start
+    last_start = interval.n - 1 - dual_bracket_vector(interval.lower)[::-1].index(0)
+    return bracket_vector(interval.upper).index(0) + 1 >= last_start
 
 
 def is_kreweras(interval: TamariInterval) -> bool:
     """True when ``refines(iota(interval.lower), iota(interval.upper))``.
 
-    Each node of a right branch of the lower tree must lie on the same
-    right branch of the upper tree as the top node of its lower branch.
+    A maximal right branch is the set of nodes whose spans end at one x +
+    a_x, its last node (see ``iota``).  So the lower partition refines the
+    upper one when each node's upper span end is that of the last node of
+    its lower branch.
     """
-    upper = _branch_tops(interval.upper)
-    return all(upper[x] == upper[top] for x, top in enumerate(_branch_tops(interval.lower)))
+    nodes = range(1, interval.n + 1)
+    upper_end = (0, *map(add, nodes, bracket_vector(interval.upper)))
+    lower_end = map(add, nodes, bracket_vector(interval.lower))
+    return all(map(eq, upper_end[1:], map(upper_end.__getitem__, lower_end)))
 
 
 def is_new(interval: TamariInterval) -> bool:
@@ -389,29 +394,17 @@ class NonCrossingPartition:
         return f"<NonCrossingPartition {inner}>"
 
 
-def _branch_tops(t: BinaryTree) -> list[int]:
-    """Entry x (x = 1..n, infix labels): the top node of the maximal right
-    branch through node x, its smallest label.  Entry 0 is 0.
-
-    Node x spans the nodes x - b_x .. x + a_x.  It is the right child of
-    p = x - 1 - b_x exactly when p >= 1 and p's span ends where x's does,
-    p + a_p = x + a_x; otherwise it tops its branch.
-    """
-    a = bracket_vector(t)
-    b = dual_bracket_vector(t)
-    tops = [0] * (t.size + 1)
-    for x in range(1, t.size + 1):
-        p = x - 1 - b[x - 1]
-        tops[x] = tops[p] if p >= 1 and p + a[p - 1] == x + a[x - 1] else x
-    return tops
-
-
 def iota(t: BinaryTree) -> NonCrossingPartition:
-    """Partition of the infix-labeled nodes into maximal right branches."""
+    """Partition of the infix-labeled nodes into maximal right branches.
+
+    Node x spans the nodes x - b_x .. x + a_x.  Its right child's span ends
+    where its own does, and its left child's at x - 1, so the branch through
+    x is the set of nodes whose spans end at x + a_x, its last node: the Dyck
+    run that ``dual_degree_vector`` counts.
+    """
     blocks: dict[int, list[int]] = {}
-    for x, top in enumerate(_branch_tops(t)):
-        if x:
-            blocks.setdefault(top, []).append(x)
+    for x, end in enumerate(map(add, range(1, t.size + 1), bracket_vector(t)), 1):
+        blocks.setdefault(end, []).append(x)
     return NonCrossingPartition(blocks.values())
 
 

@@ -10,8 +10,9 @@ Each figure is one generator of text blocks (``_smooth_blocks``,
 template's literal pieces zipped with string columns of at most ``BLOCK``
 rows and joined in C.  The columns are looked up in two tables per
 figure: ``sx``, the text of each axis abscissa, and ``radius``, the text
-of each arc radius.  The command line writes the blocks as they come and
-never holds a whole figure; ``Figure.svg`` is their eager join.
+of each arc radius, which share entries: each number's text is made once
+per figure.  The command line writes the blocks as they come and never
+holds a whole figure; ``Figure.svg`` is their eager join.
 """
 
 from __future__ import annotations
@@ -143,8 +144,11 @@ def _smooth_blocks(interval: TamariInterval) -> Iterator[str]:
     """The smooth drawing's text, in blocks of at most ``BLOCK`` rows."""
     n = interval.n
     offset, width, height = _frame(n + 1, False)
-    sx = list(map(str, range(offset, width - offset + 1, SPACING)))
-    radius = list(map(str, range(0, (n + 1) * SPACING // 2, SPACING // 2)))
+    sx = list(map(int.__repr__, range(offset, width - offset + 1, SPACING)))
+    # radius[d] is the text of 20d, 0 <= d <= n; as MARGIN == SPACING // 2,
+    # odd d = 2k + 1 gives the abscissa sx[k]
+    evens = map(int.__repr__, range(0, (n + 1) * SPACING // 2, SPACING))
+    radius = list(chain.from_iterable(zip(evens, sx)))
     yield _head(width, height, sx[0], sx[-1])
     for tree, upper in ((interval.upper, True), (interval.lower, False)):
         arc = _arc(height // 2, upper)
@@ -172,13 +176,13 @@ def _diagram_blocks(m: MeanderingDiagram, buds: bool) -> Iterator[str]:
     n = m.n
     offset, width, height = _frame(2 * n + 1, buds)
     axis_y = height // 2
-    sx = list(map(str, range(offset, width - offset + 1, SPACING)))
+    sx = list(map(int.__repr__, range(offset, width - offset + 1, SPACING)))
     black, white = sx[::2], sx[1::2]
-    # every arc joins points an odd number 2k + 1 of axis steps apart, signed:
-    # radius[k] is the text of its radius, and a negative k indexes from the end
-    half = SPACING // 2
-    radius = list(map(str, chain(range(half, half + n * SPACING, SPACING),
-                                 range(half - n * SPACING, half, SPACING))))
+    # arcs join points 2k + 1 axis steps apart, 0 <= k < n (up[t] <= t < lo[t]):
+    # radius[k] is the text of 20 + 40k.  As BUD_LENGTH + BUD_HEAD == MARGIN ==
+    # SPACING // 2, it is sx[k] without buds, and black point j's bud back and
+    # front x -+ 20 are radius[2j] and radius[2j + 1] with buds
+    radius = list(map(int.__repr__, range(MARGIN, width, SPACING))) if buds else sx
     yield _head(width, height, sx[0], sx[-1])
     # one row per white point for its two arcs
     arcs = _arc(axis_y, True) + "\n" + _arc(axis_y, False)
@@ -194,10 +198,10 @@ def _diagram_blocks(m: MeanderingDiagram, buds: bool) -> Iterator[str]:
         both = _bud(axis_y) + "\n" + _bud(axis_y)
         for i in range(0, n + 1, BLOCK):
             xs = range(offset, width - offset + 1, 2 * SPACING)[i : i + BLOCK]
-            left, back, right, front = (
-                list(map(str, range(xs.start + d, xs.stop + d, xs.step)))
-                for d in (-BUD_LENGTH, -BUD_LENGTH - BUD_HEAD, BUD_LENGTH, BUD_LENGTH + BUD_HEAD)
-            )
+            left, right = (list(map(int.__repr__, range(xs.start + d, xs.stop + d, xs.step)))
+                           for d in (-BUD_LENGTH, BUD_LENGTH))
+            back = radius[2 * i : 2 * (i + BLOCK) : 2]
+            front = radius[2 * i + 1 : 2 * (i + BLOCK) : 2]
             x = black[i : i + BLOCK]
             yield _rows(both, x, left, back, left, left, x, right, front, right, right)
     # one row per black point with the white point after it, then the last

@@ -314,18 +314,31 @@ def _check_dyck(word: str) -> None:
 def tree_from_dyck(word: str) -> BinaryTree:
     """Inverse of dyck_from_tree.  Raises InvalidDyckWord on bad input.
 
-    A letter other than U and D, unequal counts, or a dip below the axis
-    defers to ``_check_dyck`` for the error.
+    One letter pass, as in ``_walk``, with the last open node in ``top``; a
+    letter other than U and D, unequal counts, or a dip below the axis (a pop
+    from the empty stack) defers to ``_check_dyck`` for the error.
     """
-    runs = list(map(len, word.split("U")))
-    n = len(runs) - 1
-    if runs[0] or len(word) != 2 * n or word.count("D") != n:
+    n = word.count("U")
+    if len(word) != 2 * n or word.count("D") != n:
         _check_dyck(word)
+    a, b = [0] * n, [0] * n
+    stack: list[int] = []
+    push, pop = stack.append, stack.pop
+    e = top = 0
     try:
-        return _tree_of(*_walk(runs))
+        for ch in word:
+            if ch == "U":
+                b[e] = e - top
+                e += 1
+                push(top)
+                top = e
+            else:
+                a[top - 1] = e - top
+                top = pop()
     except IndexError:
         _check_dyck(word)
         raise
+    return _tree_of(tuple(a), tuple(b))
 
 
 def contact_vector(word: str) -> tuple[int, ...]:

@@ -144,9 +144,10 @@ def test_modern_series_first_coefficients():
     assert c[2] == 4
 
 
-def test_modern_series_internal_checks_cover_counts():
-    # tamari verify's series-consistency check holds C to its closed form
-    # and (1 + C)^2 to the modern interval counts; here, the lengths
+def test_modern_series_lists_cover_degrees_0_to_max():
+    # each list holds the coefficients of z^0 .. z^8; tamari verify's
+    # series-consistency check holds C to its closed form and (1 + C)^2 to
+    # the modern interval counts
     a, b, c = modern_series_coefficients(8)
     assert len(a) == len(b) == len(c) == 9
 

@@ -163,6 +163,7 @@ def test_deep_combs_decode_and_encode_iteratively():
     assert dyck_from_tree(right_comb) == "U" * n + "D" * n
     assert bracket_vector(left_comb) == dual_bracket_vector(right_comb) == (0,) * n
     for t in (left_comb, right_comb):
+        assert tree_from_dyck(dyck_from_tree(t)) == t
         assert tree_from_bracket_vector(bracket_vector(t)) == t
         assert tree_from_dual_bracket_vector(dual_bracket_vector(t)) == t
     for lower, upper in ((left_comb, right_comb), (right_comb, left_comb)):
